@@ -26,6 +26,7 @@ OooCore::OooCore(const Program &program, const SimConfig &config,
                                                   stats)),
       regfile_(config.numPhysRegs),
       data_mem_(program.initialData),
+      consumers_(config.numPhysRegs),
       fetch_pc_(program.entry),
       committedInstrs_(stats.counter("core.committedInstrs")),
       committedLoadsStat_(stats.counter("core.committedLoads")),
@@ -40,6 +41,9 @@ OooCore::OooCore(const Program &program, const SimConfig &config,
       cyclesStat_(stats.counter("core.cycles")),
       idleSkippedStat_(stats.hostCounter("core.idleCyclesSkipped")),
       skipEventsStat_(stats.hostCounter("core.skipEvents")),
+      selectVisitsStat_(stats.hostCounter("core.selectVisits")),
+      writebackVisitsStat_(stats.hostCounter("core.writebackVisits")),
+      memIssueVisitsStat_(stats.hostCounter("core.memIssueVisits")),
       loadToUseDist_(stats.histogram("core.loadToUseDist", 4, 64)),
       shadowReleaseDelayDist_(
           stats.histogram("core.shadowReleaseDelayDist", 4, 64)),
@@ -130,7 +134,7 @@ OooCore::tick()
     // and per-cycle sampling is measurable in the cycle loop.
     if ((cycle_ & 63) == 0) {
         robOccupancyDist_.sample(rob_.size());
-        iqOccupancyDist_.sample(iq_.size());
+        iqOccupancyDist_.sample(iq_count_);
         lqOccupancyDist_.sample(lq_.size());
     }
     commitStage();
@@ -212,23 +216,11 @@ OooCore::nextEventCycle() const
         if (!inst->squashed)
             consider(inst->execDoneAt);
     }
-    // LQ data arrivals: demand fills, forwarded data and doppelganger
-    // fills. Same countdown bound as the writeback scan.
-    std::size_t incomplete = lq_incomplete_;
-    for (auto it = lqScanStart(lq_complete_barrier_);
-         it != lq_.end() && incomplete != 0; ++it) {
-        const DynInstPtr &load = *it;
-        if (load->squashed || load->completed)
-            continue;
-        --incomplete;
-        if (load->dgState == DgState::Verified && load->dgAccessIssued) {
-            if (!load->dgDataArrived)
-                consider(load->dgDataAt);
-        } else if ((load->memIssued || load->forwarded) &&
-                   !load->dataArrived) {
-            consider(load->dataAt);
-        }
-    }
+    // Data arrivals (demand fills, forwarded data, doppelganger fills):
+    // the top of the arrival queue. A stale top only makes the horizon
+    // early; one already due fires on the next tick.
+    if (!arrivals_.empty())
+        consider(std::max(std::get<0>(arrivals_.front()), cycle_ + 1));
     // Frontend: the oldest fetched-but-not-decoded slot, and the
     // post-squash redirect stall.
     if (!fetch_queue_.empty())
@@ -256,7 +248,7 @@ OooCore::skipTo(Cycle target)
     const std::uint64_t samples = advance_to / 64 - cycle_ / 64;
     if (samples != 0) {
         robOccupancyDist_.sample(rob_.size(), samples);
-        iqOccupancyDist_.sample(iq_.size(), samples);
+        iqOccupancyDist_.sample(iq_count_, samples);
         lqOccupancyDist_.sample(lq_.size(), samples);
     }
     cycle_ = advance_to;
@@ -452,14 +444,9 @@ OooCore::propagateLoad(const DynInstPtr &inst, RegValue value)
             taint_tracker_.addRoot(inst->seq);
             inst->resultTainted = true;
         }
-        regfile_.setReady(inst->prd);
+        setRegReady(inst->prd);
     }
     ++wake_epoch_; // Register wakeup (and possibly a new taint root).
-    // A doppelganger-fed load can complete without ever issuing its
-    // demand access; retire it from the unissued count if so.
-    if (!inst->memIssued && !inst->forwarded)
-        --lq_unissued_;
-    --lq_incomplete_;
     inst->completed = true;
     inst->completedAt = cycle_;
     // Load-to-use latency: dispatch to value propagation, i.e. what
@@ -485,114 +472,99 @@ OooCore::loadValueNow(const DynInst &inst, Addr addr) const
     return std::make_pair(data_mem_.read(addr), kInvalidSeq);
 }
 
+bool
+OooCore::noteArrival(DynInst &load)
+{
+    const bool via_dg = load.fedByDoppelganger();
+    bool &arrived = via_dg ? load.dgDataArrived : load.dataArrived;
+    const Cycle at = via_dg ? load.dgDataAt : load.dataAt;
+    if (!arrived && (via_dg || load.memIssued || load.forwarded) &&
+        at <= cycle_) {
+        arrived = true;
+        progress_ = true;
+    }
+    return arrived;
+}
+
+OooCore::PropOutcome
+OooCore::tryPropagate(const DynInstPtr &load)
+{
+    if (load->propSleepEpoch == wake_epoch_)
+        return PropOutcome::Blocked; // Gate-blocked; nothing changed since.
+    const auto block = [this, &load](FrGate gate) {
+        load->propSleepEpoch = wake_epoch_;
+        load->policyBlocked |= gate == FrGate::Policy;
+        flight_recorder_.record(FrEvent::PropBlocked, cycle_, load->seq,
+                                load->effAddr,
+                                static_cast<std::uint32_t>(gate));
+        return PropOutcome::Blocked;
+    };
+    const SpecContext ctx = contextFor(*load);
+    const bool allowed = load->fedByDoppelganger()
+                             ? policy_->dgMayPropagate(*load, ctx)
+                             : policy_->loadMayPropagate(*load, ctx);
+    if (!allowed)
+        return block(FrGate::Policy);
+    // §4.5: a noted invalidation takes effect when the (preloaded) data
+    // would propagate.
+    if (load->invalSnooped)
+        return PropOutcome::Snooped;
+    const auto value = loadValueNow(*load, load->effAddr);
+    if (!value)
+        return block(FrGate::StoreData);
+    load->fwdFromSeq = value->second;
+    propagateLoad(load, value->first);
+    return PropOutcome::Propagated;
+}
+
 void
 OooCore::writebackStage()
 {
-    // --- Load data arrival and propagation ------------------------------
-    // Start past the completed prefix and count down the incomplete
-    // entries: once all of them have been visited the rest of the LQ
-    // is completed loads awaiting commit, which this scan would only
-    // skip.
-    std::size_t incomplete = lq_incomplete_;
-    SeqNum first_incomplete = kInvalidSeq;
-    for (auto it = lqScanStart(lq_complete_barrier_); it != lq_.end();
-         ++it) {
-        const DynInstPtr &load = *it;
-        if (incomplete == 0)
-            break;
-        if (load->squashed || load->completed)
-            continue;
-        --incomplete;
-        if (first_incomplete == kInvalidSeq)
-            first_incomplete = load->seq;
+    // --- Data arrivals -------------------------------------------------
+    // Every event due by now lists its load for propagation. Stale ones
+    // (the load was squashed, completed through its other access, or
+    // committed and recycled) fall out on their seq stamp and flags.
+    while (!arrivals_.empty() && std::get<0>(arrivals_.front()) <= cycle_) {
+        std::pop_heap(arrivals_.begin(), arrivals_.end(), std::greater<>());
+        const auto [at, seq, load] = arrivals_.back();
+        arrivals_.pop_back();
+        ++writebackVisitsStat_;
+        if (load->seq == seq && !load->squashed && !load->completed &&
+            noteArrival(*load)) {
+            insertBySeq(lq_arrived_, load);
+        }
+    }
 
-        if (load->dgState == DgState::Verified && load->dgAccessIssued) {
-            if (!load->dgDataArrived && load->dgDataAt <= cycle_) {
-                load->dgDataArrived = true;
-                progress_ = true;
-            }
-            if (!load->dgDataArrived)
-                continue;
-            if (load->propSleepEpoch == wake_epoch_)
-                continue; // Gate-blocked; nothing changed since.
-            const SpecContext ctx = contextFor(*load);
-            if (!policy_->dgMayPropagate(*load, ctx)) {
-                load->propSleepEpoch = wake_epoch_;
-                load->policyBlocked = true;
-                flight_recorder_.record(
-                    FrEvent::PropBlocked, cycle_, load->seq, load->effAddr,
-                    static_cast<std::uint32_t>(FrGate::Policy));
-                continue;
-            }
-            if (load->invalSnooped) {
-                // §4.5: the noted invalidation takes effect when the
-                // preloaded data would propagate.
-                ++snoopSquashes_;
-                squashFrom(load->seq, load->pc,
-                           SquashReason::InvalidationSnoop);
-                return;
-            }
-            auto value = loadValueNow(*load, load->effAddr);
-            if (!value) {
-                load->propSleepEpoch = wake_epoch_;
-                flight_recorder_.record(
-                    FrEvent::PropBlocked, cycle_, load->seq, load->effAddr,
-                    static_cast<std::uint32_t>(FrGate::StoreData));
-                continue;
-            }
-            load->fwdFromSeq = value->second;
-            propagateLoad(load, value->first);
+    // --- Propagation, oldest first ---------------------------------------
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < lq_arrived_.size(); ++i) {
+        const DynInstPtr load = lq_arrived_[i];
+        ++writebackVisitsStat_;
+        // Listed on its demand data but since fed by an issued, verified
+        // doppelganger: wait for that fill, whose event lists it again.
+        if (!noteArrival(*load))
             continue;
-        }
-
-        if ((load->memIssued || load->forwarded) && !load->dataArrived &&
-            load->dataAt <= cycle_) {
-            load->dataArrived = true;
-            progress_ = true;
-        }
-        if (!load->dataArrived)
-            continue;
-        if (load->propSleepEpoch == wake_epoch_)
-            continue; // Gate-blocked; nothing changed since.
-        const SpecContext ctx = contextFor(*load);
-        if (!policy_->loadMayPropagate(*load, ctx)) {
-            load->propSleepEpoch = wake_epoch_;
-            load->policyBlocked = true;
-            flight_recorder_.record(
-                FrEvent::PropBlocked, cycle_, load->seq, load->effAddr,
-                static_cast<std::uint32_t>(FrGate::Policy));
-            continue;
-        }
-        if (load->invalSnooped) {
+        const PropOutcome outcome = tryPropagate(load);
+        if (outcome == PropOutcome::Blocked) {
+            lq_arrived_[kept++] = load;
+        } else if (outcome == PropOutcome::Snooped) {
+            // The rest of the list is this load and younger ones, all
+            // squashed now.
+            lq_arrived_.resize(kept);
             ++snoopSquashes_;
             squashFrom(load->seq, load->pc, SquashReason::InvalidationSnoop);
             return;
         }
-        auto value = loadValueNow(*load, load->effAddr);
-        if (!value) {
-            load->propSleepEpoch = wake_epoch_;
-            flight_recorder_.record(
-                FrEvent::PropBlocked, cycle_, load->seq, load->effAddr,
-                static_cast<std::uint32_t>(FrGate::StoreData));
-            continue;
-        }
-        load->fwdFromSeq = value->second;
-        propagateLoad(load, value->first);
     }
-    // Advance the barrier to the first load seen still incomplete (it
-    // may have completed just now; one stale entry is harmless). With
-    // none left, everything currently in flight is complete.
-    if (first_incomplete != kInvalidSeq)
-        lq_complete_barrier_ = first_incomplete;
-    else if (lq_incomplete_ == 0)
-        lq_complete_barrier_ = next_seq_;
+    lq_arrived_.resize(kept);
 
     // --- Deferred branch resolutions, oldest first -----------------------
-    // The list is kept seq-sorted by insertUnresolved(), so no per-cycle
-    // sort is needed.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < unresolved_branches_.size(); ++i) {
-        const DynInstPtr inst = unresolved_branches_[i];
+    // The list is kept seq-sorted by insertBySeq(), so no per-cycle sort
+    // is needed.
+    kept = 0;
+    std::size_t next = 0;
+    while (next < unresolved_branches_.size()) {
+        const DynInstPtr inst = unresolved_branches_[next++];
         if (inst->squashed) {
             dropLazyRef(inst);
             continue;
@@ -609,16 +581,12 @@ OooCore::writebackStage()
         } else {
             dropLazyRef(inst);
         }
-        if (rob_.size() != rob_size_before) {
-            // A squash truncated the ROB; keep the rest for next cycle.
-            for (std::size_t j = i + 1; j < unresolved_branches_.size();
-                 ++j) {
-                unresolved_branches_[kept++] = unresolved_branches_[j];
-            }
+        // A squash truncated the ROB; keep the rest for next cycle.
+        if (rob_.size() != rob_size_before)
             break;
-        }
     }
-    unresolved_branches_.resize(kept);
+    unresolved_branches_.erase(unresolved_branches_.begin() + kept,
+                               unresolved_branches_.begin() + next);
 
     // --- STT untaint sweep -------------------------------------------------
     // Every root older than the oldest unresolved shadow caster has
@@ -637,19 +605,29 @@ OooCore::writebackStage()
 }
 
 void
-OooCore::insertUnresolved(const DynInstPtr &inst)
+OooCore::insertBySeq(std::vector<DynInstPtr> &list, const DynInstPtr &inst)
 {
-    ++inst->lazyRefs;
-    // Issue order is not program order (an older branch can issue after
-    // a younger one), so insert at the sorted position. The list is a
-    // handful of entries; the shift is cheaper than the per-cycle sort
-    // it replaces.
+    // The lists are short and mostly appended to; the shift is cheaper
+    // than a node-based set.
     const auto it = std::upper_bound(
-        unresolved_branches_.begin(), unresolved_branches_.end(),
-        inst->seq, [](SeqNum seq, const DynInstPtr &b) {
-            return seq < b->seq;
-        });
-    unresolved_branches_.insert(it, inst);
+        list.begin(), list.end(), inst->seq,
+        [](SeqNum seq, const DynInstPtr &other) { return seq < other->seq; });
+    if (it == list.begin() || *(it - 1) != inst)
+        list.insert(it, inst);
+}
+
+void
+OooCore::setRegReady(PhysReg reg)
+{
+    regfile_.setReady(reg);
+    std::vector<DynInstPtr> &waiting = consumers_[reg];
+    for (const DynInstPtr &inst : waiting) {
+        DGSIM_ASSERT(inst->inIq && inst->pendingOperands != 0,
+                     "consumer list holds an instruction not waiting");
+        if (--inst->pendingOperands == 0)
+            insertBySeq(ready_, inst);
+    }
+    waiting.clear();
 }
 
 void
@@ -697,8 +675,9 @@ OooCore::executeStage()
     // order (== program order, since select is oldest-first). Squashed
     // entries are filtered lazily.
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < exec_pending_.size(); ++i) {
-        const DynInstPtr inst = exec_pending_[i];
+    std::size_t next = 0;
+    while (next < exec_pending_.size()) {
+        const DynInstPtr inst = exec_pending_[next++];
         if (inst->squashed) {
             dropLazyRef(inst);
             continue;
@@ -719,7 +698,7 @@ OooCore::executeStage()
           case OpClass::IntMul:
           case OpClass::IntDiv:
             if (inst->prd != kInvalidPhysReg) {
-                regfile_.setReady(inst->prd);
+                setRegReady(inst->prd);
                 ++wake_epoch_; // Register wakeup.
             }
             inst->completed = true;
@@ -727,13 +706,13 @@ OooCore::executeStage()
             break;
           case OpClass::Branch: {
             if (inst->prd != kInvalidPhysReg) {
-                regfile_.setReady(inst->prd);
+                setRegReady(inst->prd);
                 ++wake_epoch_; // Register wakeup.
             }
             inst->completedAt = cycle_;
             // Resolution is attempted immediately; if the policy defers
             // it (tainted predicate, out-of-order under DoM+AP), the
-            // writeback stage retries every cycle.
+            // writeback stage retries it whenever the wake epoch moves.
             const std::size_t rob_size_before = rob_.size();
             resolveBranch(inst);
             if (!inst->resolved) {
@@ -742,7 +721,10 @@ OooCore::executeStage()
                 flight_recorder_.record(
                     FrEvent::PropBlocked, cycle_, inst->seq, inst->pc,
                     static_cast<std::uint32_t>(FrGate::Policy));
-                insertUnresolved(inst);
+                // Issue order is not program order (an older branch can
+                // issue after a younger one): insert at the sorted spot.
+                ++inst->lazyRefs;
+                insertBySeq(unresolved_branches_, inst);
             }
             squashed_younger = rob_.size() != rob_size_before;
             break;
@@ -759,6 +741,14 @@ OooCore::executeStage()
                     flight_recorder_.record(FrEvent::DgVerifyBad, cycle_,
                                             inst->seq, inst->effAddr);
                 }
+            }
+            if (!inst->fedByDoppelganger()) {
+                insertBySeq(lq_addr_ready_, inst); // Needs a demand issue.
+            } else if (inst->dgDataAt <= cycle_) {
+                // The doppelganger filled before verification; its
+                // arrival event fired (and was dropped) while the
+                // prediction was unverified, so queue it again.
+                pushArrival(inst, inst->dgDataAt);
             }
             break;
           }
@@ -783,15 +773,13 @@ OooCore::executeStage()
             inst->completedAt = cycle_;
             break;
         }
-        if (squashed_younger) {
-            // Keep the unprocessed tail (squashed entries in it are
-            // filtered next cycle) and stop this scan.
-            for (std::size_t j = i + 1; j < exec_pending_.size(); ++j)
-                exec_pending_[kept++] = exec_pending_[j];
+        // Keep the unprocessed tail (squashed entries in it are filtered
+        // next cycle) and stop this scan.
+        if (squashed_younger)
             break;
-        }
     }
-    exec_pending_.resize(kept);
+    exec_pending_.erase(exec_pending_.begin() + kept,
+                        exec_pending_.begin() + next);
 }
 
 void
@@ -800,7 +788,10 @@ OooCore::checkMemOrderViolation(const DynInstPtr &store)
     // A younger load that already propagated a value not obtained from
     // this store (or a store younger than it) read stale data. The LQ
     // is seq-sorted; skip straight past the older loads.
-    for (auto it = lqScanStart(store->seq + 1); it != lq_.end(); ++it) {
+    const auto younger = std::lower_bound(
+        lq_.begin(), lq_.end(), store->seq + 1,
+        [](const DynInstPtr &load, SeqNum seq) { return load->seq < seq; });
+    for (auto it = younger; it != lq_.end(); ++it) {
         const DynInstPtr &load = *it;
         if (load->squashed)
             continue;
@@ -822,6 +813,94 @@ OooCore::checkMemOrderViolation(const DynInstPtr &store)
 // Memory issue: demand loads first, doppelgangers fill idle ports.
 // ---------------------------------------------------------------------
 
+bool
+OooCore::tryDemandIssue(const DynInstPtr &load, unsigned &slots)
+{
+    DGSIM_ASSERT(load->addrReady && !load->memIssued && !load->forwarded &&
+                     !load->fedByDoppelganger(),
+                 "address-ready list holds a load not awaiting demand issue");
+    if (load->issueSleepEpoch == wake_epoch_)
+        return false; // Gate-blocked; nothing changed since.
+    // A blocked load sleeps on the wake epoch; a scheme gate also marks
+    // it policy-blocked.
+    const auto block = [this, &load](FrGate gate) {
+        load->issueSleepEpoch = wake_epoch_;
+        load->policyBlocked |= gate != FrGate::StoreData;
+        flight_recorder_.record(FrEvent::IssueBlocked, cycle_, load->seq,
+                                load->effAddr,
+                                static_cast<std::uint32_t>(gate));
+        return false;
+    };
+
+    const SpecContext ctx = contextFor(*load);
+    if (load->dgState == DgState::Mispredicted &&
+        !policy_->dgReplayMayIssue(*load, ctx)) {
+        return block(FrGate::DgReplay);
+    }
+    if (!policy_->loadMayIssue(*load, ctx))
+        return block(FrGate::Policy);
+    if (load->domDelayed && ctx.shadowed)
+        return block(FrGate::DomWait); // DoM: wait until non-speculative.
+
+    // Store-to-load forwarding: the youngest older resolved store with a
+    // matching address supplies the value without a cache access.
+    for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
+        const DynInstPtr &store = *it;
+        if (store->seq >= load->seq)
+            continue;
+        if (!store->addrReady || store->effAddr != load->effAddr)
+            continue;
+        // Wait for the store data (a register wakeup); either way no
+        // cache access.
+        if (!regfile_.ready(store->prs2))
+            return block(FrGate::StoreData);
+        load->forwarded = true;
+        load->fwdFromSeq = store->seq;
+        load->dataAt = cycle_ + 1;
+        pushArrival(load, load->dataAt);
+        ++stlForwards_;
+        progress_ = true;
+        return true;
+    }
+
+    MemAccessFlags flags = policy_->loadAccessFlags(*load, ctx);
+    if (load->domDelayed) {
+        // Counted per attempt, including MSHR-rejected ones below — a
+        // golden counter moves on this tick, so it must never be treated
+        // as quiescent (the time warp would compress the per-cycle retry
+        // spin and undercount).
+        ++domRetries_;
+        progress_ = true;
+        flags.speculative = false; // Non-speculative re-issue.
+    }
+    const AccessOutcome outcome =
+        hierarchy_->access(load->effAddr, cycle_, flags);
+    --slots; // The port is spent whatever the outcome.
+    switch (outcome.status) {
+      case AccessStatus::Hit:
+      case AccessStatus::Miss:
+        load->memIssued = true;
+        load->dataAt = outcome.completeAt;
+        pushArrival(load, load->dataAt);
+        load->l1Hit = outcome.l1Hit;
+        load->domDeferredTouch = flags.delayReplacementUpdate &&
+                                 outcome.status == AccessStatus::Hit;
+        progress_ = true;
+        return true;
+      case AccessStatus::DomDelayed:
+        load->domDelayed = true;
+        flight_recorder_.record(FrEvent::DomDelay, cycle_, load->seq,
+                                load->effAddr);
+        progress_ = true;
+        return false;
+      case AccessStatus::Rejected:
+        flight_recorder_.record(FrEvent::MshrReject, cycle_, load->seq,
+                                load->effAddr);
+        return false; // Retry next cycle.
+    }
+    DGSIM_PANIC("unknown access status");
+}
+
 void
 OooCore::memoryIssueStage()
 {
@@ -829,132 +908,18 @@ OooCore::memoryIssueStage()
 
     // --- Pass 1: demand loads (priority; paper §5 "non-predicted
     // addresses are always prioritized for execution") ------------------
-    // Start past the prefix of already-issued loads and count down the
-    // ones still awaiting demand issue: most cycles the scan touches
-    // only the few actionable entries at the young end of the queue.
-    std::size_t pending = lq_unissued_;
-    SeqNum first_pending = kInvalidSeq;
-    for (auto it = lqScanStart(lq_issue_barrier_); it != lq_.end(); ++it) {
-        const DynInstPtr &load = *it;
-        if (slots == 0 || pending == 0)
-            break;
-        if (load->squashed || load->completed || load->memIssued ||
-            load->forwarded) {
-            continue;
-        }
-        --pending;
-        if (first_pending == kInvalidSeq)
-            first_pending = load->seq;
-        if (!load->addrReady)
-            continue;
-        if (load->dgState == DgState::Verified && load->dgAccessIssued)
-            continue; // Data comes from the doppelganger access.
-        if (load->issueSleepEpoch == wake_epoch_)
-            continue; // Gate-blocked; nothing changed since.
-
-        const SpecContext ctx = contextFor(*load);
-        if (load->dgState == DgState::Mispredicted &&
-            !policy_->dgReplayMayIssue(*load, ctx)) {
-            load->issueSleepEpoch = wake_epoch_;
-            load->policyBlocked = true;
-            flight_recorder_.record(
-                FrEvent::IssueBlocked, cycle_, load->seq, load->effAddr,
-                static_cast<std::uint32_t>(FrGate::DgReplay));
-            continue;
-        }
-        if (!policy_->loadMayIssue(*load, ctx)) {
-            load->issueSleepEpoch = wake_epoch_;
-            load->policyBlocked = true;
-            flight_recorder_.record(
-                FrEvent::IssueBlocked, cycle_, load->seq, load->effAddr,
-                static_cast<std::uint32_t>(FrGate::Policy));
-            continue;
-        }
-        if (load->domDelayed && ctx.shadowed) {
-            load->issueSleepEpoch = wake_epoch_;
-            load->policyBlocked = true;
-            flight_recorder_.record(
-                FrEvent::IssueBlocked, cycle_, load->seq, load->effAddr,
-                static_cast<std::uint32_t>(FrGate::DomWait));
-            continue; // DoM: wait until non-speculative.
-        }
-
-        // Store-to-load forwarding: the youngest older resolved store
-        // with a matching address supplies the value without a cache
-        // access.
-        bool handled = false;
-        for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
-            const DynInstPtr &store = *it;
-            if (store->seq >= load->seq)
-                continue;
-            if (!store->addrReady || store->effAddr != load->effAddr)
-                continue;
-            if (regfile_.ready(store->prs2)) {
-                load->forwarded = true;
-                load->fwdFromSeq = store->seq;
-                load->dataAt = cycle_ + 1;
-                ++stlForwards_;
-                --lq_unissued_;
-                progress_ = true;
-            } else {
-                // Wait for the store data (a register wakeup); either
-                // way no cache access.
-                load->issueSleepEpoch = wake_epoch_;
-                flight_recorder_.record(
-                    FrEvent::IssueBlocked, cycle_, load->seq, load->effAddr,
-                    static_cast<std::uint32_t>(FrGate::StoreData));
-            }
-            handled = true;
-            break;
-        }
-        if (handled)
-            continue;
-
-        MemAccessFlags flags = policy_->loadAccessFlags(*load, ctx);
-        if (load->domDelayed) {
-            // Counted per attempt, including MSHR-rejected ones below —
-            // a golden counter moves on this tick, so it must never be
-            // treated as quiescent (the time warp would compress the
-            // per-cycle retry spin and undercount).
-            ++domRetries_;
-            progress_ = true;
-            flags.speculative = false; // Non-speculative re-issue.
-        }
-        const AccessOutcome outcome =
-            hierarchy_->access(load->effAddr, cycle_, flags);
-        switch (outcome.status) {
-          case AccessStatus::Hit:
-          case AccessStatus::Miss:
-            load->memIssued = true;
-            --lq_unissued_;
-            load->dataAt = outcome.completeAt;
-            load->l1Hit = outcome.l1Hit;
-            load->domDeferredTouch = flags.delayReplacementUpdate &&
-                                     outcome.status == AccessStatus::Hit;
-            --slots;
-            progress_ = true;
-            break;
-          case AccessStatus::DomDelayed:
-            load->domDelayed = true;
-            flight_recorder_.record(FrEvent::DomDelay, cycle_, load->seq,
-                                    load->effAddr);
-            --slots;
-            progress_ = true;
-            break;
-          case AccessStatus::Rejected:
-            flight_recorder_.record(FrEvent::MshrReject, cycle_, load->seq,
-                                    load->effAddr);
-            --slots; // Port spent on the rejected attempt.
-            break;
-        }
+    // Oldest first over the address-ready loads only; a load leaves the
+    // list once it issues or is forwarded.
+    std::size_t kept = 0;
+    std::size_t visited = 0;
+    for (; visited < lq_addr_ready_.size() && slots != 0; ++visited) {
+        const DynInstPtr load = lq_addr_ready_[visited];
+        if (!tryDemandIssue(load, slots))
+            lq_addr_ready_[kept++] = load;
     }
-    // First load seen still pending becomes the new issue barrier
-    // (conservative if it issued just now); none seen and none left
-    // means every current load is past demand issue.
-    if (first_pending != kInvalidSeq)
-        lq_issue_barrier_ = first_pending;
-    else if (lq_unissued_ == 0)
-        lq_issue_barrier_ = next_seq_;
+    lq_addr_ready_.erase(lq_addr_ready_.begin() + kept,
+                         lq_addr_ready_.begin() + visited);
+    memIssueVisitsStat_ += visited;
 
     // --- Pass 2: doppelgangers into the remaining slots ------------------
     // Only loads that dispatched with a prediction can ever issue one,
@@ -962,9 +927,10 @@ OooCore::memoryIssueStage()
     // of the LQ, pruning stale entries as it goes.
     if (!dg_unit_->enabled())
         return;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < dg_pending_.size(); ++i) {
-        const DynInstPtr load = dg_pending_[i];
+    kept = 0;
+    visited = 0;
+    for (; visited < dg_pending_.size(); ++visited) {
+        const DynInstPtr load = dg_pending_[visited];
         if (load->squashed) {
             dropLazyRef(load);
             continue;
@@ -976,12 +942,8 @@ OooCore::memoryIssueStage()
             --load->lazyRefs;
             continue;
         }
-        if (slots == 0) {
-            // Ports exhausted: keep the unexamined tail for next cycle.
-            for (std::size_t j = i; j < dg_pending_.size(); ++j)
-                dg_pending_[kept++] = dg_pending_[j];
-            break;
-        }
+        if (slots == 0)
+            break; // Ports exhausted: keep the unexamined tail.
         // Unverified predictions always qualify. A *verified* prediction
         // may still issue if the demand access is being held by DoM: the
         // predicted address is secret-independent either way (§4.6).
@@ -1008,6 +970,9 @@ OooCore::memoryIssueStage()
           case AccessStatus::Miss:
             load->dgAccessIssued = true;
             load->dgDataAt = outcome.completeAt;
+            pushArrival(load, load->dgDataAt);
+            if (load->dgState == DgState::Verified)
+                std::erase(lq_addr_ready_, load); // Fed by this access now.
             load->dgL1Hit = outcome.status == AccessStatus::Hit;
             load->dgDeferredTouch = flags.delayReplacementUpdate &&
                                     outcome.status == AccessStatus::Hit;
@@ -1028,11 +993,13 @@ OooCore::memoryIssueStage()
             DGSIM_PANIC("doppelganger access must never be DoM-delayed");
         }
     }
-    dg_pending_.resize(kept);
+    dg_pending_.erase(dg_pending_.begin() + kept,
+                      dg_pending_.begin() + visited);
+    memIssueVisitsStat_ += visited;
 }
 
 // ---------------------------------------------------------------------
-// Issue: wake up and select from the IQ, oldest first.
+// Issue: select from the ready list, oldest first.
 // ---------------------------------------------------------------------
 
 void
@@ -1095,16 +1062,10 @@ OooCore::startExecution(const DynInstPtr &inst)
 
 bool
 OooCore::mayIssueNow(const DynInstPtr &inst, unsigned alu_used,
-                     unsigned muldiv_used, unsigned agu_used) const
+                     unsigned muldiv_used, unsigned agu_used)
 {
-    // Operand readiness (stores only need the address operand; the
-    // data register is read at commit).
-    if (inst->usesRs1 && !regfile_.ready(inst->prs1))
-        return false;
-    if (inst->usesRs2 && !inst->isStore() &&
-        !regfile_.ready(inst->prs2)) {
-        return false;
-    }
+    DGSIM_ASSERT(inst->inIq && inst->pendingOperands == 0,
+                 "ready list holds an instruction with unready operands");
 
     // Functional unit availability.
     switch (inst->cls) {
@@ -1127,11 +1088,15 @@ OooCore::mayIssueNow(const DynInstPtr &inst, unsigned alu_used,
         break;
     }
 
-    // Scheme gates at the AGU.
+    // Scheme gates at the AGU; a blocked store sleeps on the epoch.
     if (inst->isStore()) {
-        SpecContext ctx = contextFor(*inst);
-        if (!policy_->storeMayIssueAgu(*inst, ctx))
+        if (inst->issueSleepEpoch == wake_epoch_)
             return false;
+        SpecContext ctx = contextFor(*inst);
+        if (!policy_->storeMayIssueAgu(*inst, ctx)) {
+            inst->issueSleepEpoch = wake_epoch_;
+            return false;
+        }
     }
     return true;
 }
@@ -1139,37 +1104,26 @@ OooCore::mayIssueNow(const DynInstPtr &inst, unsigned alu_used,
 void
 OooCore::issueStage()
 {
-    // A full select pass that issued nothing stays fruitless until a
-    // wakeup-relevant event occurs (with zero functional units in use,
-    // the FU gates cannot be the blocker).
-    if (iq_sleep_epoch_ == wake_epoch_)
-        return;
-
     unsigned total = 0;
     unsigned alu_used = 0;
     unsigned muldiv_used = 0;
     unsigned agu_used = 0;
 
-    // Single pass: oldest-first select, compacting issued entries out
-    // of the queue in place (iq_ is in program order and squashes
-    // truncate a suffix, so nothing here is ever squashed).
+    // Oldest-first select over the ready list (every entry a real
+    // candidate), compacting issued entries out in place.
     std::size_t kept = 0;
-    const std::size_t n = iq_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (total >= config_.issueWidth) {
-            // Width exhausted: bulk-compact the unexamined tail.
-            std::copy(iq_.begin() + static_cast<std::ptrdiff_t>(i),
-                      iq_.end(), iq_.begin() + static_cast<std::ptrdiff_t>(kept));
-            kept += n - i;
-            break;
-        }
-        const DynInstPtr inst = iq_[i];
+    std::size_t visited = 0;
+    for (; visited < ready_.size() && total < config_.issueWidth;
+         ++visited) {
+        const DynInstPtr inst = ready_[visited];
         DGSIM_ASSERT(!inst->squashed, "squashed instruction in IQ");
         if (!mayIssueNow(inst, alu_used, muldiv_used, agu_used)) {
-            iq_[kept++] = inst;
+            ready_[kept++] = inst;
             continue;
         }
 
+        inst->inIq = false;
+        --iq_count_;
         inst->issued = true;
         inst->issuedAt = cycle_;
         inst->execDoneAt = cycle_ + execLatency(inst->inst.op);
@@ -1194,10 +1148,9 @@ OooCore::issueStage()
             break;
         }
     }
-    iq_.resize(kept);
-    if (total == 0)
-        iq_sleep_epoch_ = wake_epoch_;
-    else
+    ready_.erase(ready_.begin() + kept, ready_.begin() + visited);
+    selectVisitsStat_ += visited;
+    if (total != 0)
         progress_ = true;
 }
 
@@ -1219,7 +1172,7 @@ OooCore::dispatchStage()
         // Structural hazards: stall dispatch in order.
         if (rob_.size() >= config_.robEntries)
             break;
-        if (needs_iq && iq_.size() >= config_.iqEntries)
+        if (needs_iq && iq_count_ >= config_.iqEntries)
             break;
         if (cls == OpClass::MemRead && lq_.size() >= config_.lqEntries)
             break;
@@ -1249,6 +1202,8 @@ OooCore::dispatchStage()
             inst->prs2 = regfile_.lookup(slot.inst.rs2);
         if (has_dest) {
             auto [fresh, previous] = regfile_.rename(slot.inst.rd);
+            DGSIM_ASSERT(consumers_[fresh].empty(),
+                         "renamed a register that still has consumers");
             inst->prd = fresh;
             inst->prevPrd = previous;
         }
@@ -1271,13 +1226,24 @@ OooCore::dispatchStage()
 
         rob_.push_back(inst);
         if (needs_iq) {
-            iq_.push_back(inst);
-            ++wake_epoch_; // New IQ entry: the select pass must look.
+            inst->inIq = true;
+            ++iq_count_;
+            // Wait on each unready issue operand (a store's data register
+            // is read at commit, not issue); rs1 == rs2 waits twice.
+            const PhysReg prs2 = inst->isStore() ? kInvalidPhysReg : inst->prs2;
+            for (const PhysReg reg : {inst->prs1, prs2}) {
+                if (reg != kInvalidPhysReg && !regfile_.ready(reg)) {
+                    consumers_[reg].push_back(inst);
+                    ++inst->pendingOperands;
+                }
+            }
+            if (inst->pendingOperands == 0)
+                ready_.push_back(inst); // Youngest seq: stays sorted.
+            // The gate retry memos stay coarse: any dispatch re-arms them.
+            ++wake_epoch_;
         }
         if (cls == OpClass::MemRead) {
             lq_.push_back(inst);
-            ++lq_unissued_;
-            ++lq_incomplete_;
             dg_unit_->attachPrediction(*inst);
             if (inst->dgState == DgState::Predicted) {
                 flight_recorder_.record(FrEvent::DgPredict, cycle_,
@@ -1355,19 +1321,14 @@ OooCore::squashFrom(SeqNum first_bad, Addr redirect_pc, SquashReason why)
     // Rename rollback, shadow and taint cleanup below can all unblock
     // older gated work; wake every sleeper.
     ++wake_epoch_;
-    // IQ/LQ/SQ are in program order, so a squash removes a suffix.
-    // Drop their references before the ROB walk recycles the entries.
-    while (!iq_.empty() && iq_.back()->seq >= first_bad)
-        iq_.pop_back();
-    while (!lq_.empty() && lq_.back()->seq >= first_bad) {
-        const DynInstPtr load = lq_.back();
-        if (!load->completed) {
-            --lq_incomplete_;
-            if (!load->memIssued && !load->forwarded)
-                --lq_unissued_;
-        }
+    // The LQ, SQ and the event lists are seq-sorted, so a squash removes
+    // a suffix of each. Drop their references before the ROB walk
+    // recycles the entries. (Queued arrivals go stale on their own.)
+    popSuffix(ready_, first_bad);
+    popSuffix(lq_arrived_, first_bad);
+    popSuffix(lq_addr_ready_, first_bad);
+    while (!lq_.empty() && lq_.back()->seq >= first_bad)
         lq_.pop_back();
-    }
     while (!sq_.empty() && sq_.back()->seq >= first_bad)
         sq_.pop_back();
     while (!rob_.empty() && rob_.back()->seq >= first_bad) {
@@ -1375,9 +1336,22 @@ OooCore::squashFrom(SeqNum first_bad, Addr redirect_pc, SquashReason why)
         inst->squashed = true;
         if (inst->traced)
             tracer_->flush(*inst, 0); // Retire tick 0 == squashed.
-        // Undo rename youngest-first so RAT state unwinds correctly.
-        if (inst->hasDest)
+        if (inst->inIq) {
+            --iq_count_;
+            // Consumer lists are seq-sorted too: an entry waiting on an
+            // older producer is in that list's squashed suffix.
+            for (const PhysReg reg : {inst->prs1, inst->prs2}) {
+                if (reg != kInvalidPhysReg)
+                    popSuffix(consumers_[reg], first_bad);
+            }
+        }
+        // Undo rename youngest-first so RAT state unwinds correctly. Its
+        // consumers are all younger, so already unlinked above.
+        if (inst->hasDest) {
+            DGSIM_ASSERT(consumers_[inst->prd].empty(),
+                         "squashed producer still has waiting consumers");
             regfile_.rollback(inst->inst.rd, inst->prd, inst->prevPrd);
+        }
         // Idempotent cleanups.
         shadow_tracker_.release(inst->seq);
         if (inst->isLoad()) {
@@ -1426,9 +1400,11 @@ OooCore::dumpPipelineState(std::ostream &os)
     os << "cycle " << cycle_ << ", committed " << committed_count_
        << ", last commit at cycle " << last_commit_cycle_ << "\n";
     os << "occupancy: rob " << rob_.size() << "/" << config_.robEntries
-       << ", iq " << iq_.size() << "/" << config_.iqEntries << ", lq "
-       << lq_.size() << "/" << config_.lqEntries << " (" << lq_unissued_
-       << " unissued, " << lq_incomplete_ << " incomplete), sq "
+       << ", iq " << iq_count_ << "/" << config_.iqEntries << " ("
+       << ready_.size() << " ready), lq " << lq_.size() << "/"
+       << config_.lqEntries << " (" << lq_addr_ready_.size()
+       << " awaiting demand issue, " << lq_arrived_.size()
+       << " arrived, " << arrivals_.size() << " arrival events), sq "
        << sq_.size() << "/" << config_.sqEntries << ", fetchq "
        << fetch_queue_.size() << "\n";
     os << "speculation: " << shadow_tracker_.size()
@@ -1447,26 +1423,17 @@ OooCore::dumpPipelineState(std::ostream &os)
         os << "rob head: seq " << head->seq << " pc 0x" << std::hex
            << head->pc << std::dec << "  " << disassemble(head->inst)
            << "\n  flags:";
-        if (head->issued)
-            os << " issued";
-        if (head->executed)
-            os << " executed";
-        if (head->completed)
-            os << " completed";
-        if (head->addrReady)
-            os << " addrReady";
-        if (head->resolved)
-            os << " resolved";
-        if (head->memIssued)
-            os << " memIssued";
-        if (head->dataArrived)
-            os << " dataArrived";
-        if (head->forwarded)
-            os << " forwarded";
-        if (head->domDelayed)
-            os << " domDelayed";
-        if (head->policyBlocked)
-            os << " policyBlocked";
+        const std::pair<bool, const char *> flags[] = {
+            {head->issued, "issued"},       {head->executed, "executed"},
+            {head->completed, "completed"}, {head->addrReady, "addrReady"},
+            {head->resolved, "resolved"},   {head->memIssued, "memIssued"},
+            {head->dataArrived, "dataArrived"},
+            {head->forwarded, "forwarded"}, {head->domDelayed, "domDelayed"},
+            {head->policyBlocked, "policyBlocked"}};
+        for (const auto &[set, name] : flags) {
+            if (set)
+                os << " " << name;
+        }
         os << "\n  dgState " << dgStateName(head->dgState) << ", shadowed "
            << (shadow_tracker_.isShadowed(head->seq) ? "yes" : "no")
            << ", operands tainted "

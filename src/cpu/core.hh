@@ -22,9 +22,11 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "common/config.hh"
@@ -243,12 +245,13 @@ class OooCore
     /** DGSIM_PANIC hook: dump this core's state to stderr. */
     static void panicDumpThunk(void *ctx);
 
-    /** Seq-ordered insertion into unresolved_branches_. */
-    void insertUnresolved(const DynInstPtr &inst);
-
-    /** Operand/FU/policy gates for issuing @p inst this cycle. */
+    /** FU and policy gates for issuing the operand-ready @p inst. */
     bool mayIssueNow(const DynInstPtr &inst, unsigned alu_used,
-                     unsigned muldiv_used, unsigned agu_used) const;
+                     unsigned muldiv_used, unsigned agu_used);
+
+    /** Memory-issue pass 1 for one address-ready load: gates, store
+     * forwarding, demand access. True once it needs no demand issue. */
+    bool tryDemandIssue(const DynInstPtr &load, unsigned &slots);
 
     /** Drop one lazy-list reference; recycle if squashed and last. */
     void
@@ -258,23 +261,41 @@ class OooCore
             pool_.release(inst);
     }
 
-    /** First LQ entry at or past @p barrier (the LQ is seq-sorted). */
-    std::deque<DynInstPtr>::iterator
-    lqScanStart(SeqNum barrier)
+    // --- Event-driven wakeup (DESIGN.md §5c) --------------------------------
+    /** Mark @p reg ready; consumers left with no pending operand move
+     * to the ready list. */
+    void setRegReady(PhysReg reg);
+
+    /** Queue a data-arrival event for @p load at cycle @p at. */
+    void
+    pushArrival(const DynInstPtr &load, Cycle at)
     {
-        return std::lower_bound(lq_.begin(), lq_.end(), barrier,
-                                [](const DynInstPtr &load, SeqNum seq) {
-                                    return load->seq < seq;
-                                });
+        arrivals_.emplace_back(at, load->seq, load);
+        std::push_heap(arrivals_.begin(), arrivals_.end(), std::greater<>());
     }
 
-    std::deque<DynInstPtr>::const_iterator
-    lqScanStart(SeqNum barrier) const
+    /** Mark @p load's data arrived if the fill it waits for (its
+     * doppelganger's if fedByDoppelganger(), else the demand fill or
+     * forwarded value) has landed; true if the data is there. */
+    bool noteArrival(DynInst &load);
+
+    /** Outcome of tryPropagate(): retry later, done, or a noted
+     * invalidation that squashes from this load. */
+    enum class PropOutcome { Blocked, Propagated, Snooped };
+
+    /** Gate and propagate an arrived load's value. */
+    PropOutcome tryPropagate(const DynInstPtr &load);
+
+    /** Seq-sorted insertion into @p list; no-op if already present. */
+    static void insertBySeq(std::vector<DynInstPtr> &list,
+                            const DynInstPtr &inst);
+
+    /** Drop the suffix of seq-sorted @p list at or past @p first_bad. */
+    static void
+    popSuffix(std::vector<DynInstPtr> &list, SeqNum first_bad)
     {
-        return std::lower_bound(lq_.begin(), lq_.end(), barrier,
-                                [](const DynInstPtr &load, SeqNum seq) {
-                                    return load->seq < seq;
-                                });
+        while (!list.empty() && list.back()->seq >= first_bad)
+            list.pop_back();
     }
 
     const Program &program_;
@@ -304,9 +325,28 @@ class OooCore
     // Pipeline state.
     std::deque<FetchSlot> fetch_queue_;
     std::deque<DynInstPtr> rob_;
-    std::vector<DynInstPtr> iq_;
     std::deque<DynInstPtr> lq_;
     std::deque<DynInstPtr> sq_;
+    /// Issue-queue occupancy (DynInst::inIq); select walks ready_.
+    std::size_t iq_count_ = 0;
+    /// Per-physical-register consumer lists: IQ entries waiting on the
+    /// register in seq order, once per operand that reads it. Filled at
+    /// dispatch, drained by setRegReady(); squash pops the suffix.
+    std::vector<std::vector<DynInstPtr>> consumers_;
+    /// IQ entries with every operand ready, seq-sorted.
+    std::vector<DynInstPtr> ready_;
+    /// Min-heap (std::greater) of (cycle, seq, load) data arrivals:
+    /// demand fills, forwarded values and doppelganger fills, pushed
+    /// wherever dataAt/dgDataAt is set. Squash and commit leave entries
+    /// in; a seq that no longer matches the load, or its squashed or
+    /// completed flag, marks an entry stale when it pops.
+    std::vector<std::tuple<Cycle, SeqNum, DynInstPtr>> arrivals_;
+    /// Incomplete loads whose data has arrived, seq-sorted. Writeback
+    /// visits all of them every cycle, so none completes unlisted.
+    std::vector<DynInstPtr> lq_arrived_;
+    /// Address-ready loads still needing a demand issue (not issued,
+    /// forwarded or fedByDoppelganger()), seq-sorted: pass-1 input.
+    std::vector<DynInstPtr> lq_addr_ready_;
     /// Issued instructions whose functional unit has not finished yet
     /// (avoids scanning the whole ROB every cycle).
     std::vector<DynInstPtr> exec_pending_;
@@ -317,36 +357,14 @@ class OooCore
     /// this short list instead of the whole LQ). Dispatch order == seq
     /// order; squashed/stale entries are filtered lazily.
     std::vector<DynInstPtr> dg_pending_;
-    /// LQ entries that still need a demand issue (neither issued,
-    /// forwarded nor completed). Lets the memory-issue stage skip its
-    /// LQ scan on the many cycles where every load is already in
-    /// flight or done.
-    std::size_t lq_unissued_ = 0;
-    /// LQ entries whose value has not propagated yet. Completed loads
-    /// linger in the LQ until commit; counting the incomplete ones
-    /// lets every LQ scan stop at the last entry that can still do
-    /// work instead of walking the whole queue.
-    std::size_t lq_incomplete_ = 0;
-    /// Scan barriers: every LQ entry with seq below the barrier is
-    /// known non-actionable (issued/forwarded/completed for the issue
-    /// barrier, completed for the completion barrier), so scans
-    /// binary-search to the barrier instead of walking the committed
-    /// prefix. Both properties are sticky (a load never becomes
-    /// unissued or incomplete again), which keeps the barriers valid
-    /// across squashes and commits.
-    SeqNum lq_issue_barrier_ = 0;
-    SeqNum lq_complete_barrier_ = 0;
     /// Wake epoch: bumped by every event that can turn a previously
-    /// blocked issue/propagate/resolve retry into a success (register
-    /// becomes ready, shadow released, taint root cleared, squash,
-    /// dispatch, external invalidation). Blocked work sleeps on the
-    /// current epoch and is skipped until it changes, which turns the
-    /// per-cycle retry scans into no-ops on quiescent (stalled) cycles.
-    /// Starts at 1 so a default-initialised sleep stamp of 0 never
-    /// matches.
+    /// blocked policy-gate retry (load issue, propagation, branch
+    /// resolution, store AGU) into a success (register becomes ready,
+    /// shadow released, taint root cleared, squash, dispatch, external
+    /// invalidation). Gate-blocked work sleeps on the current epoch and
+    /// is skipped until it changes. Starts at 1 so a default-initialised
+    /// sleep stamp of 0 never matches.
     std::uint64_t wake_epoch_ = 1;
-    /// Epoch at which a full IQ select pass issued nothing.
-    std::uint64_t iq_sleep_epoch_ = 0;
 
     Addr fetch_pc_;
     Cycle fetch_stall_until_ = 0;
@@ -399,6 +417,10 @@ class OooCore
     // so skip-on and skip-off runs dump byte-identically).
     Counter &idleSkippedStat_;
     Counter &skipEventsStat_;
+    // Entries examined by select, writeback and memory issue.
+    Counter &selectVisitsStat_;
+    Counter &writebackVisitsStat_;
+    Counter &memIssueVisitsStat_;
 
     // Distribution stats (separate dump section; never part of the
     // counter dump, so golden byte-compares are unaffected).

@@ -33,9 +33,9 @@ struct DynInst
     Addr pc = 0;
     Instruction inst;
     OpClass cls = OpClass::No_OpClass;
-    // Operand roles, decoded once at dispatch. The issue wakeup loop
-    // re-checks readiness every cycle for every IQ entry; caching these
-    // keeps the per-opcode switches off that path.
+    // Operand roles, decoded once at dispatch (consumer-list
+    // registration, operand reads, taint checks) so the per-opcode
+    // switches stay off the per-instruction paths.
     bool usesRs1 = false; ///< readsRs1(inst)
     bool usesRs2 = false; ///< readsRs2(inst)
     bool hasDest = false; ///< writesDest(inst)
@@ -48,6 +48,9 @@ struct DynInst
 
     // --- Pipeline status ----------------------------------------------
     bool inIq = false;      ///< Waiting in the issue queue.
+    /// Unready issue operands (consumer-list entries held); an IQ entry
+    /// is on the ready list exactly when this is zero.
+    std::uint8_t pendingOperands = 0;
     bool issued = false;    ///< Sent to a functional unit.
     bool executed = false;  ///< Result computed (cycle: execDoneAt).
     bool completed = false; ///< Result propagated; eligible to commit.
@@ -110,15 +113,16 @@ struct DynInst
     /// STT tainted this load's result when it propagated.
     bool resultTainted = false;
 
-    // --- Scan sleep state -------------------------------------------------
+    // --- Gate retry memo ---------------------------------------------------
     /**
-     * Wake-epoch stamps for the two per-cycle retry scans (demand issue
-     * and propagation/resolution). A gate-blocked instruction records
-     * the core's wake epoch; the scan skips it until some event that
-     * could unblock it (register wakeup, shadow release, untaint,
-     * squash, dispatch) bumps the epoch. Purely a host-side
-     * memoisation: the retry outcome is unchanged, it just is not
-     * recomputed on quiescent cycles.
+     * Wake-epoch stamps for the policy-gate retries: issue (a load's
+     * demand issue, a store's AGU issue) and propagation/resolution.
+     * A gate-blocked instruction records the core's wake epoch and its
+     * gates are not re-evaluated until some event that could unblock
+     * it (register wakeup, shadow release, untaint, squash, dispatch)
+     * bumps the epoch. Purely a host-side memoisation: the retry
+     * outcome is unchanged, it just is not recomputed on quiescent
+     * cycles.
      */
     std::uint64_t issueSleepEpoch = 0;
     std::uint64_t propSleepEpoch = 0;
@@ -126,10 +130,10 @@ struct DynInst
     // --- Pool bookkeeping -------------------------------------------------
     /**
      * Number of lazily-filtered side lists (exec_pending_,
-     * unresolved_branches_) still holding this instruction. A squashed
-     * instruction is returned to the pool only once this drops to zero,
-     * so those lists may keep filtering by the squashed flag without
-     * ever touching a recycled entry.
+     * unresolved_branches_, dg_pending_) still holding this instruction.
+     * A squashed instruction is returned to the pool only once this
+     * drops to zero, so those lists may keep filtering by the squashed
+     * flag without ever touching a recycled entry.
      */
     std::uint8_t lazyRefs = 0;
 
@@ -142,6 +146,13 @@ struct DynInst
     hasDoppelganger() const
     {
         return dgState != DgState::None;
+    }
+
+    /** The value comes from the issued, verified doppelganger (sticky). */
+    bool
+    fedByDoppelganger() const
+    {
+        return dgState == DgState::Verified && dgAccessIssued;
     }
 };
 

@@ -103,8 +103,8 @@ class RegFile
   private:
     std::array<PhysReg, kNumArchRegs> rat_{};
     std::vector<RegValue> values_;
-    // Bytes, not vector<bool>: the issue wakeup loop polls readiness
-    // for every IQ entry every cycle, and a byte load beats bit math.
+    // Bytes, not vector<bool>: readiness is read per operand at
+    // dispatch, store forwarding and commit; a byte load beats bit math.
     std::vector<std::uint8_t> ready_;
     std::vector<SeqNum> taint_root_;
     std::vector<PhysReg> free_list_;

@@ -38,18 +38,6 @@ splitCommas(const std::string &text)
     return parts;
 }
 
-std::string
-joinCommas(const std::vector<std::string> &parts)
-{
-    std::string out;
-    for (const std::string &part : parts) {
-        if (!out.empty())
-            out += ',';
-        out += part;
-    }
-    return out;
-}
-
 /** %.17g: shortest text strtod restores bit-exactly (rates are finite). */
 std::string
 doubleText(double value)
