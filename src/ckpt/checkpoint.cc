@@ -4,24 +4,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/hash.hh"
 #include "common/log.hh"
 
 namespace dgsim::ckpt
 {
 namespace
 {
-
-/** 64-bit FNV-1a over a byte range. */
-std::uint64_t
-fnv1a(const char *data, std::size_t size)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= static_cast<unsigned char>(data[i]);
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
 
 std::string
 hex16(std::uint64_t value)
@@ -191,7 +180,7 @@ serialize(const Checkpoint &checkpoint)
     }
 
     std::string body = os.str();
-    body += "digest " + hex16(fnv1a(body.data(), body.size())) + "\n";
+    body += "digest " + hex16(fnv::hashBytes(body)) + "\n";
     return body;
 }
 
@@ -209,7 +198,7 @@ deserialize(const std::string &text, const std::string &origin)
     std::istringstream digest_line(text.substr(digest_pos));
     std::string keyword, recorded;
     digest_line >> keyword >> recorded;
-    const std::string computed = hex16(fnv1a(body.data(), body.size()));
+    const std::string computed = hex16(fnv::hashBytes(body));
     if (recorded != computed)
         corrupt(origin, "content digest mismatch (recorded " + recorded +
                             ", computed " + computed + ")");

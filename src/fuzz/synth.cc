@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/hash.hh"
 #include "common/rng.hh"
 
 namespace dgsim::fuzz
@@ -175,9 +176,9 @@ AttackerIr
 synthesize(std::uint64_t fuzz_seed, std::uint64_t key)
 {
     // FNV-combine the two halves of the identity into the RNG seed.
-    std::uint64_t seed = 0xcbf29ce484222325ULL;
-    seed = (seed ^ fuzz_seed) * 0x100000001b3ULL;
-    seed = (seed ^ key) * 0x100000001b3ULL;
+    std::uint64_t seed = fnv::kOffset;
+    fnv::mix(seed, fuzz_seed);
+    fnv::mix(seed, key);
     Rng rng(seed);
 
     AttackerIr ir;

@@ -48,7 +48,9 @@ disassemble(const Instruction &inst)
 {
     std::ostringstream os;
     os << mnemonic(inst.op);
-    auto reg = [](RegIndex r) { return "x" + std::to_string(r); };
+    auto reg = [](RegIndex r) {
+        return std::string("x").append(std::to_string(r));
+    };
     switch (inst.op) {
       case Opcode::Ld:
         os << " " << reg(inst.rd) << ", " << inst.imm << "("

@@ -2,10 +2,85 @@
 
 #include <algorithm>
 
+#include "common/hash.hh"
 #include "common/log.hh"
 
 namespace dgsim
 {
+namespace
+{
+
+/**
+ * Thread-local shelves of line arrays, keyed by length. Invariant:
+ * every array on a shelf is all CacheLine{}, so a Cache built from one
+ * starts empty without clearing it. A shelf holds no more arrays than
+ * were alive at once on its thread (peak), so recycling never raises
+ * the peak footprint: an array released on a thread that never had
+ * that many alive is freed instead.
+ */
+class LinePool
+{
+  public:
+    std::vector<CacheLine> acquire(std::size_t lines)
+    {
+        Shelf &shelf = shelfFor(lines);
+        shelf.peak = std::max(shelf.peak, ++shelf.live);
+        if (shelf.free.empty())
+            return std::vector<CacheLine>(lines);
+        std::vector<CacheLine> array = std::move(shelf.free.back());
+        shelf.free.pop_back();
+        return array;
+    }
+
+    void release(std::vector<CacheLine> &&array)
+    {
+        Shelf &shelf = shelfFor(array.size());
+        --shelf.live;
+        if (static_cast<long>(shelf.free.size()) < shelf.peak)
+            shelf.free.push_back(std::move(array));
+    }
+
+  private:
+    struct Shelf
+    {
+        std::size_t lines = 0;
+        long live = 0; ///< Acquired minus released on this thread.
+        long peak = 0;
+        std::vector<std::vector<CacheLine>> free;
+    };
+
+    Shelf &shelfFor(std::size_t lines)
+    {
+        for (Shelf &shelf : shelves_)
+            if (shelf.lines == lines)
+                return shelf;
+        return shelves_.emplace_back(Shelf{lines, 0, 0, {}});
+    }
+
+    std::vector<Shelf> shelves_; ///< One per cache geometry in use.
+};
+
+LinePool &
+linePool()
+{
+    thread_local LinePool pool;
+    return pool;
+}
+
+/**
+ * mix(set, way, 0, 0, 0) — the record of an invalid way — in two
+ * multiplies: xor with zero is the identity, so the last four steps
+ * are one multiply by kPrime^4.
+ */
+inline void
+mixEmptyWay(std::uint64_t &hash, std::uint64_t set, std::uint64_t way)
+{
+    static constexpr std::uint64_t kPrime4 = fnv::primePower(4);
+    fnv::mix(hash, set);
+    hash = (hash ^ way) * kPrime4;
+}
+
+} // namespace
 
 Cache::Cache(const CacheConfig &config, StatRegistry &stats)
     : accesses(stats.counter(config.name + ".accesses")),
@@ -19,14 +94,36 @@ Cache::Cache(const CacheConfig &config, StatRegistry &stats)
     DGSIM_ASSERT(num_sets_ > 0, "cache must have at least one set");
     DGSIM_ASSERT(config.sizeBytes % (config.assoc * config.lineBytes) == 0,
                  "cache size must be a multiple of assoc * line size");
-    lines_.resize(static_cast<std::size_t>(num_sets_) * config.assoc);
+    const std::size_t lines =
+        static_cast<std::size_t>(num_sets_) * config.assoc;
+    lines_ = linePool().acquire(lines);
+    touched_.assign(num_sets_, 0);
+}
+
+Cache::~Cache()
+{
+    clearTouchedSets();
+    linePool().release(std::move(lines_));
+}
+
+void
+Cache::clearTouchedSets()
+{
+    // A flag scan costs one byte per set and visits sets in array
+    // order, so a densely warmed cache streams through its lines.
+    for (unsigned set = 0; set < num_sets_; ++set) {
+        if (touched_[set]) {
+            std::fill_n(setBase(set), config_.assoc, CacheLine{});
+            touched_[set] = 0;
+        }
+    }
 }
 
 CacheLookup
 Cache::lookup(Addr line_addr, bool update_lru)
 {
     const unsigned set = setIndex(line_addr);
-    CacheLine *base = &lines_[static_cast<std::size_t>(set) * config_.assoc];
+    CacheLine *base = setBase(set);
     for (unsigned way = 0; way < config_.assoc; ++way) {
         CacheLine &line = base[way];
         if (line.valid && line.tag == line_addr) {
@@ -41,9 +138,7 @@ Cache::lookup(Addr line_addr, bool update_lru)
 bool
 Cache::probe(Addr line_addr) const
 {
-    const unsigned set = setIndex(line_addr);
-    const CacheLine *base =
-        &lines_[static_cast<std::size_t>(set) * config_.assoc];
+    const CacheLine *base = setBase(setIndex(line_addr));
     for (unsigned way = 0; way < config_.assoc; ++way) {
         if (base[way].valid && base[way].tag == line_addr)
             return true;
@@ -55,7 +150,7 @@ Addr
 Cache::install(Addr line_addr, Cycle ready_at, bool dirty)
 {
     const unsigned set = setIndex(line_addr);
-    CacheLine *base = &lines_[static_cast<std::size_t>(set) * config_.assoc];
+    CacheLine *base = setBase(set);
 
     // Reuse the matching way if the line is already present (re-fill).
     CacheLine *victim = nullptr;
@@ -77,6 +172,7 @@ Cache::install(Addr line_addr, Cycle ready_at, bool dirty)
     }
 
     DGSIM_ASSERT(victim != nullptr, "no victim way found");
+    touched_[set] = 1;
     Addr evicted = kInvalidAddr;
     if (victim->valid && victim->dirty) {
         evicted = victim->tag;
@@ -123,8 +219,9 @@ Cache::exportWarmState() const
     std::vector<const CacheLine *> valid;
     valid.reserve(config_.assoc);
     for (unsigned set = 0; set < num_sets_; ++set) {
-        const CacheLine *base =
-            &lines_[static_cast<std::size_t>(set) * config_.assoc];
+        if (!touched_[set])
+            continue;
+        const CacheLine *base = setBase(set);
         valid.clear();
         for (unsigned way = 0; way < config_.assoc; ++way) {
             if (base[way].valid)
@@ -151,18 +248,20 @@ Cache::restoreWarmState(const CacheWarmState &state)
                     std::to_string(state.sets.size()) + " sets in the "
                     "checkpoint vs " + std::to_string(num_sets_) +
                     " configured");
-    std::fill(lines_.begin(), lines_.end(), CacheLine{});
+    clearTouchedSets();
     lru_clock_ = 0;
     for (unsigned set = 0; set < num_sets_; ++set) {
         const auto &lines = state.sets[set];
+        if (lines.empty())
+            continue;
         if (lines.size() > config_.assoc)
             DGSIM_FATAL("checkpoint cache geometry mismatch for '" +
                         config_.name + "': set " + std::to_string(set) +
                         " holds " + std::to_string(lines.size()) +
                         " lines but associativity is " +
                         std::to_string(config_.assoc));
-        CacheLine *base =
-            &lines_[static_cast<std::size_t>(set) * config_.assoc];
+        touched_[set] = 1;
+        CacheLine *base = setBase(set);
         for (std::size_t way = 0; way < lines.size(); ++way) {
             base[way].tag = lines[way].tag;
             base[way].valid = true;
@@ -176,15 +275,13 @@ Cache::restoreWarmState(const CacheWarmState &state)
 void
 Cache::hashState(std::uint64_t &hash) const
 {
-    // FNV-1a over (index, valid, tag, lru-rank). The fill time (readyAt)
-    // is deliberately excluded: the security digest captures the
-    // *persistent* microarchitectural state an attacker can probe after
-    // the transient window (which lines are present and their
-    // replacement order), not transient timing.
-    auto mix = [&hash](std::uint64_t v) {
-        hash ^= v;
-        hash *= 0x100000001b3ULL;
-    };
+    // FNV-1a over (index, valid, tag, lru-rank) per way. The fill time
+    // (readyAt) is deliberately excluded: the security digest captures
+    // the *persistent* microarchitectural state an attacker can probe
+    // after the transient window (which lines are present and their
+    // replacement order), not transient timing. An invalid way mixes
+    // (set, way, 0, 0, 0); a set never touched is all invalid ways.
+    //
     // Ranks within a set must be hashed relative to each other, not as
     // raw stamps, so that identical cache contents reached through a
     // different number of accesses still hash equal. A line's rank is
@@ -195,8 +292,12 @@ Cache::hashState(std::uint64_t &hash) const
     std::vector<std::uint64_t> stamps;
     stamps.reserve(config_.assoc);
     for (unsigned set = 0; set < num_sets_; ++set) {
-        const CacheLine *base =
-            &lines_[static_cast<std::size_t>(set) * config_.assoc];
+        if (!touched_[set]) {
+            for (unsigned way = 0; way < config_.assoc; ++way)
+                mixEmptyWay(hash, set, way);
+            continue;
+        }
+        const CacheLine *base = setBase(set);
         stamps.clear();
         for (unsigned way = 0; way < config_.assoc; ++way) {
             if (base[way].valid)
@@ -205,10 +306,10 @@ Cache::hashState(std::uint64_t &hash) const
         std::sort(stamps.begin(), stamps.end());
         for (unsigned way = 0; way < config_.assoc; ++way) {
             const CacheLine &line = base[way];
-            mix(set);
-            mix(way);
-            mix(line.valid ? 1 : 0);
-            mix(line.valid ? line.tag : 0);
+            fnv::mix(hash, set);
+            fnv::mix(hash, way);
+            fnv::mix(hash, line.valid ? 1 : 0);
+            fnv::mix(hash, line.valid ? line.tag : 0);
             // Rank of this way inside its set by recency.
             unsigned rank = 0;
             if (line.valid) {
@@ -217,7 +318,7 @@ Cache::hashState(std::uint64_t &hash) const
                                      line.lruStamp) -
                     stamps.begin());
             }
-            mix(rank);
+            fnv::mix(hash, rank);
         }
     }
 }

@@ -43,6 +43,8 @@ struct CacheWarmLine
 {
     Addr tag = 0;
     bool dirty = false;
+
+    bool operator==(const CacheWarmLine &) const = default;
 };
 
 /**
@@ -68,6 +70,10 @@ class Cache
 {
   public:
     Cache(const CacheConfig &config, StatRegistry &stats);
+    /** Resets the touched sets and hands the line array back for reuse. */
+    ~Cache();
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
 
     /**
      * Look up @p line_addr.
@@ -113,6 +119,9 @@ class Cache
 
     const CacheConfig &config() const { return config_; }
 
+    /** The whole tag array, set-major (read-only, for tests). */
+    const std::vector<CacheLine> &lines() const { return lines_; }
+
     // Statistics (shared registry; names are "<name>.<stat>").
     Counter &accesses;
     Counter &hits;
@@ -126,9 +135,27 @@ class Cache
         return static_cast<unsigned>(line_addr % num_sets_);
     }
 
+    CacheLine *setBase(unsigned set)
+    {
+        return &lines_[static_cast<std::size_t>(set) * config_.assoc];
+    }
+    const CacheLine *setBase(unsigned set) const
+    {
+        return &lines_[static_cast<std::size_t>(set) * config_.assoc];
+    }
+
+    /** Reset every touched set to CacheLine{} and clear its flag. */
+    void clearTouchedSets();
+
     const CacheConfig config_;
     unsigned num_sets_;
     std::vector<CacheLine> lines_; ///< num_sets_ * assoc, set-major.
+    /**
+     * Per set: 1 once a line was installed or restored into it. Every
+     * line of an untouched set is CacheLine{}: only install() and
+     * restoreWarmState() make a line valid, and both set the flag.
+     */
+    std::vector<std::uint8_t> touched_;
     std::uint64_t lru_clock_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "memory/hierarchy.hh"
 
+#include "common/hash.hh"
 #include "common/log.hh"
 
 namespace dgsim
@@ -229,7 +230,7 @@ MemoryHierarchy::linePresent(unsigned level, Addr byte_addr) const
 std::uint64_t
 MemoryHierarchy::digest() const
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    std::uint64_t hash = fnv::kOffset;
     l1_->hashState(hash);
     l2_->hashState(hash);
     l3_->hashState(hash);

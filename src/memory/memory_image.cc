@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/hash.hh"
+
 namespace dgsim
 {
 
@@ -81,16 +83,10 @@ MemoryImage::words() const
 std::uint64_t
 MemoryImage::digest() const
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    auto mix = [&hash](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; ++i) {
-            hash ^= (v >> (i * 8)) & 0xff;
-            hash *= 0x100000001b3ULL;
-        }
-    };
+    std::uint64_t hash = fnv::kOffset;
     for (const auto &[addr, value] : words()) {
-        mix(addr);
-        mix(value);
+        fnv::mixLe64(hash, addr);
+        fnv::mixLe64(hash, value);
     }
     return hash;
 }

@@ -1,5 +1,6 @@
 #include "predictor/branch_predictor.hh"
 
+#include "common/hash.hh"
 #include "common/log.hh"
 
 namespace dgsim
@@ -88,18 +89,14 @@ BranchPredictor::predict(Addr pc, const Instruction &inst)
 std::uint64_t
 BranchPredictor::digest() const
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    const auto mix = [&hash](std::uint64_t value) {
-        hash ^= value;
-        hash *= 0x100000001b3ULL;
-    };
+    std::uint64_t hash = fnv::kOffset;
     for (std::uint8_t counter : counters_)
-        mix(counter);
-    mix(ghr_);
+        fnv::mix(hash, counter);
+    fnv::mix(hash, ghr_);
     for (const BtbEntry &entry : btb_) {
-        mix(entry.valid ? 1 : 0);
-        mix(entry.valid ? entry.pc : 0);
-        mix(entry.valid ? entry.target : 0);
+        fnv::mix(hash, entry.valid ? 1 : 0);
+        fnv::mix(hash, entry.valid ? entry.pc : 0);
+        fnv::mix(hash, entry.valid ? entry.target : 0);
     }
     return hash;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.hh"
 #include "common/log.hh"
 
 namespace dgsim
@@ -155,19 +156,15 @@ StrideTable::digest() const
     // stamps/in-flight counts — host-visible bookkeeping, not
     // adversary-probeable state — are already dropped.
     const State state = exportState();
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    const auto mix = [&hash](std::uint64_t value) {
-        hash ^= value;
-        hash *= 0x100000001b3ULL;
-    };
+    std::uint64_t hash = fnv::kOffset;
     for (const StrideEntry &entry : state.entries) {
-        mix(entry.valid ? 1 : 0);
+        fnv::mix(hash, entry.valid ? 1 : 0);
         if (!entry.valid)
             continue;
-        mix(entry.pc);
-        mix(entry.lastAddr);
-        mix(static_cast<std::uint64_t>(entry.stride));
-        mix(entry.confidence);
+        fnv::mix(hash, entry.pc);
+        fnv::mix(hash, entry.lastAddr);
+        fnv::mix(hash, static_cast<std::uint64_t>(entry.stride));
+        fnv::mix(hash, entry.confidence);
     }
     return hash;
 }

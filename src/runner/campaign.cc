@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/hash.hh"
 #include "fuzz/oracle.hh"
 #include "runner/json.hh"
 #include "workloads/suite.hh"
@@ -14,17 +15,6 @@ namespace dgsim::runner
 {
 namespace
 {
-
-std::uint64_t
-fnv1a(const std::string &text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
 
 std::vector<std::string>
 splitCommas(const std::string &text)
@@ -80,7 +70,7 @@ shardOf(const std::string &key, unsigned shards)
 {
     if (shards == 0)
         throw CampaignError("shard count must be positive");
-    return static_cast<unsigned>(fnv1a(key) % shards);
+    return static_cast<unsigned>(fnv::hashBytes(key) % shards);
 }
 
 std::string

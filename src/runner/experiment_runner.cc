@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/errors.hh"
+#include "common/hash.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "fuzz/fuzz.hh"
@@ -63,12 +64,7 @@ injectedFaultImpl(const RunnerOptions &options, const std::string &key,
     // The draw is a pure function of (key, attempt, seed): the same
     // sweep under the same rate/seed fails the same attempts of the
     // same jobs no matter the thread count or dispatch order.
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (unsigned char c : key) {
-        hash ^= c;
-        hash *= 0x100000001b3ULL;
-    }
-    Rng rng(hash ^ (options.injectFailSeed +
+    Rng rng(fnv::hashBytes(key) ^ (options.injectFailSeed +
                     attempt * 0x9e3779b97f4a7c15ULL));
     const double draw =
         static_cast<double>(rng.next() >> 11) * 0x1.0p-53; // [0, 1)

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/log.hh"
 #include "runner/result_sink.hh"
 
@@ -16,28 +17,17 @@ namespace dgsim::runner
 namespace
 {
 
-/** 64-bit FNV-1a, chained across calls via @p hash. */
-void
-fnv1a(std::uint64_t &hash, const void *data, std::size_t size)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ULL;
-    }
-}
-
 void
 fnv1a(std::uint64_t &hash, const std::string &text)
 {
     // Hash the terminator too so {"ab","c"} != {"a","bc"}.
-    fnv1a(hash, text.c_str(), text.size() + 1);
+    fnv::mixBytes(hash, text.c_str(), text.size() + 1);
 }
 
 void
 fnv1a(std::uint64_t &hash, std::uint64_t value)
 {
-    fnv1a(hash, &value, sizeof(value));
+    fnv::mixLe64(hash, value);
 }
 
 } // namespace
@@ -45,7 +35,7 @@ fnv1a(std::uint64_t &hash, std::uint64_t value)
 std::string
 jobKey(const Job &job)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    std::uint64_t hash = fnv::kOffset;
     fnv1a(hash, job.suite);
     fnv1a(hash, job.workload);
     fnv1a(hash, job.config.label());

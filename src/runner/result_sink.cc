@@ -81,7 +81,7 @@ std::string
 jsonDouble(double value)
 {
     if (!std::isfinite(value))
-        return "\"" + doubleToString(value) + "\"";
+        return std::string("\"").append(doubleToString(value)).append("\"");
     return doubleToString(value);
 }
 
@@ -237,7 +237,8 @@ toJsonLine(const JobOutcome &outcome, bool host_metrics)
         if (!first)
             out += ",";
         first = false;
-        out += "\"" + jsonEscape(kv.first) + "\":" + std::to_string(kv.second);
+        out.append("\"").append(jsonEscape(kv.first)).append("\":")
+            .append(std::to_string(kv.second));
     }
     out += "}";
     if (host_metrics) {

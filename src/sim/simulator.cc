@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "ckpt/sampler.hh"
+#include "common/hash.hh"
 #include "common/stats.hh"
 #include "cpu/core.hh"
 #include "telemetry/telemetry.hh"
@@ -90,14 +91,10 @@ harvestResult(const Program &program, const SimConfig &config,
     {
         // FNV-combine the per-structure digests into the widened
         // security digest. cacheDigest itself stays cache-only.
-        std::uint64_t hash = 0xcbf29ce484222325ULL;
-        const auto mix = [&hash](std::uint64_t value) {
-            hash ^= value;
-            hash *= 0x100000001b3ULL;
-        };
-        mix(result.cacheDigest);
-        mix(core.branchPredictor().digest());
-        mix(core.strideTable().digest());
+        std::uint64_t hash = fnv::kOffset;
+        fnv::mix(hash, result.cacheDigest);
+        fnv::mix(hash, core.branchPredictor().digest());
+        fnv::mix(hash, core.strideTable().digest());
         result.uarchDigest = hash;
     }
 

@@ -78,14 +78,17 @@ eventFromJson(const JsonValue &record)
 std::string
 eventToJsonLine(const TraceEvent &event)
 {
-    std::string line = "{\"name\":\"" + jsonEscape(event.name) +
-                       "\",\"cat\":\"" + jsonEscape(event.cat) +
-                       "\",\"ph\":\"" + jsonEscape(event.ph) +
-                       "\",\"ts\":" + std::to_string(event.ts) +
-                       ",\"dur\":" + std::to_string(event.dur) +
-                       ",\"pid\":" + std::to_string(event.pid) +
-                       ",\"tid\":" + std::to_string(event.tid) +
-                       ",\"args\":{";
+    // Appends rather than one operator+ chain: GCC 12 reports a false
+    // -Wrestrict on the chain's temporaries.
+    std::string line = "{\"name\":\"";
+    line.append(jsonEscape(event.name))
+        .append("\",\"cat\":\"").append(jsonEscape(event.cat))
+        .append("\",\"ph\":\"").append(jsonEscape(event.ph))
+        .append("\",\"ts\":").append(std::to_string(event.ts))
+        .append(",\"dur\":").append(std::to_string(event.dur))
+        .append(",\"pid\":").append(std::to_string(event.pid))
+        .append(",\"tid\":").append(std::to_string(event.tid))
+        .append(",\"args\":{");
     bool first = true;
     for (const auto &entry : event.args) {
         if (!first)
@@ -93,8 +96,9 @@ eventToJsonLine(const TraceEvent &event)
         first = false;
         // Args round-trip as strings: the report reads them as text
         // and Perfetto renders them either way.
-        line += "\"" + jsonEscape(entry.first) + "\":\"" +
-                jsonEscape(entry.second) + "\"";
+        line.append("\"").append(jsonEscape(entry.first))
+            .append("\":\"").append(jsonEscape(entry.second))
+            .append("\"");
     }
     line += "}}";
     return line;

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "common/config.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "memory/cache.hh"
 #include "memory/hierarchy.hh"
@@ -136,6 +141,239 @@ TEST(CacheTest, HashSeesRecencyOrder)
     a.hashState(ha);
     b.hashState(hb);
     EXPECT_NE(ha, hb) << "replacement order is attacker-visible state";
+}
+
+// --- Digest reference, touched sets and recycled arrays -----------------
+
+/**
+ * The security digest written out in full: word-wise FNV-1a over
+ * (set, way, valid, tag, rank) for every way, rank being the number of
+ * valid lines in the set with a strictly smaller LRU stamp. Independent
+ * of Cache's own code on purpose.
+ */
+std::uint64_t
+referenceDigest(const Cache &cache)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    const auto mix = [&hash](std::uint64_t value) {
+        hash ^= value;
+        hash *= 0x100000001b3ULL;
+    };
+    const unsigned assoc = cache.config().assoc;
+    const unsigned sets = cache.config().numSets();
+    const std::vector<CacheLine> &lines = cache.lines();
+    EXPECT_EQ(lines.size(), static_cast<std::size_t>(sets) * assoc);
+    for (unsigned set = 0; set < sets; ++set) {
+        const CacheLine *base = &lines[static_cast<std::size_t>(set) * assoc];
+        for (unsigned way = 0; way < assoc; ++way) {
+            const CacheLine &line = base[way];
+            std::uint64_t rank = 0;
+            if (line.valid) {
+                for (unsigned other = 0; other < assoc; ++other)
+                    if (base[other].valid &&
+                        base[other].lruStamp < line.lruStamp)
+                        ++rank;
+            }
+            mix(set);
+            mix(way);
+            mix(line.valid ? 1 : 0);
+            mix(line.valid ? line.tag : 0);
+            mix(rank);
+        }
+    }
+    return hash;
+}
+
+std::uint64_t
+digestOf(const Cache &cache)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    cache.hashState(hash);
+    return hash;
+}
+
+/** Every line default and no warm state: what a new cache looks like. */
+void
+expectFresh(const Cache &cache)
+{
+    for (const CacheLine &line : cache.lines()) {
+        ASSERT_FALSE(line.valid);
+        ASSERT_EQ(line.tag, 0u);
+        ASSERT_FALSE(line.dirty);
+        ASSERT_EQ(line.readyAt, 0u);
+        ASSERT_EQ(line.lruStamp, 0u);
+    }
+    for (const auto &set : cache.exportWarmState().sets)
+        ASSERT_TRUE(set.empty());
+    EXPECT_EQ(digestOf(cache), referenceDigest(cache));
+}
+
+/**
+ * Random traffic over a few thousand line addresses: fills (some dirty), LRU-updating and non-updating hits, commit
+ * touches and invalidations, so some sets end up emptied again.
+ */
+std::vector<Addr>
+randomTraffic(Cache &cache, std::uint64_t seed, unsigned ops)
+{
+    Rng rng(seed);
+    const Addr span = 4ULL * cache.config().assoc * 97;
+    std::vector<Addr> filled;
+    for (unsigned i = 0; i < ops; ++i) {
+        const Addr line = rng.below(span) * 3 + (seed & 1);
+        switch (rng.below(6)) {
+          case 0:
+          case 1:
+            cache.install(line, i, rng.below(4) == 0);
+            filled.push_back(line);
+            break;
+          case 2: cache.lookup(line, true); break;
+          case 3: cache.lookup(line, false); break;
+          case 4: cache.touch(line); break;
+          default: cache.invalidate(line); break;
+        }
+    }
+    return filled;
+}
+
+std::vector<CacheConfig>
+table1Geometries()
+{
+    const SimConfig config;
+    return {config.l1d, config.l2, config.l3};
+}
+
+TEST(CacheDigestTest, UntouchedCacheMatchesReference)
+{
+    for (const CacheConfig &geometry : table1Geometries()) {
+        StatRegistry stats;
+        Cache cache(geometry, stats);
+        EXPECT_EQ(digestOf(cache), referenceDigest(cache)) << geometry.name;
+    }
+}
+
+TEST(CacheDigestTest, RandomFillsMatchReference)
+{
+    for (const CacheConfig &geometry : table1Geometries()) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            StatRegistry stats;
+            Cache cache(geometry, stats);
+            randomTraffic(cache, seed, 4000);
+            EXPECT_EQ(digestOf(cache), referenceDigest(cache))
+                << geometry.name << " seed " << seed;
+        }
+    }
+}
+
+TEST(CacheDigestTest, SetsInvalidatedBackToEmptyHashAsUntouched)
+{
+    for (const CacheConfig &geometry : table1Geometries()) {
+        StatRegistry stats;
+        Cache fresh(geometry, stats);
+        Cache cache(geometry, stats);
+        const unsigned sets = geometry.numSets();
+        // Fill three sets completely, then empty them again.
+        std::vector<Addr> lines;
+        for (unsigned set : {0u, 1u, sets - 1})
+            for (unsigned way = 0; way < geometry.assoc; ++way)
+                lines.push_back(set + static_cast<Addr>(way) * sets);
+        for (Addr line : lines)
+            cache.install(line, 0, true);
+        EXPECT_NE(digestOf(cache), digestOf(fresh));
+        EXPECT_EQ(digestOf(cache), referenceDigest(cache));
+        for (Addr line : lines)
+            cache.invalidate(line);
+        EXPECT_EQ(digestOf(cache), referenceDigest(cache)) << geometry.name;
+        EXPECT_EQ(digestOf(cache), digestOf(fresh))
+            << "an emptied set is the same state as a never-used one";
+    }
+}
+
+TEST(CacheDigestTest, RestoredCacheMatchesReference)
+{
+    for (const CacheConfig &geometry : table1Geometries()) {
+        StatRegistry stats;
+        Cache source(geometry, stats);
+        randomTraffic(source, 7, 4000);
+        const CacheWarmState state = source.exportWarmState();
+
+        // Restore over a cache holding unrelated lines: they must go.
+        Cache target(geometry, stats);
+        const std::vector<Addr> stale = randomTraffic(target, 8, 4000);
+        target.restoreWarmState(state);
+        EXPECT_EQ(digestOf(target), referenceDigest(target))
+            << geometry.name;
+        EXPECT_EQ(target.exportWarmState().sets, state.sets);
+        for (Addr line : stale)
+            EXPECT_EQ(target.probe(line), source.probe(line));
+
+        // Restoring an empty state leaves a fresh cache.
+        Cache empty(geometry, stats);
+        target.restoreWarmState(empty.exportWarmState());
+        expectFresh(target);
+    }
+}
+
+TEST(CacheReuseTest, RebuiltCacheIsFresh)
+{
+    for (const CacheConfig &geometry : table1Geometries()) {
+        StatRegistry stats;
+        auto cache = std::make_unique<Cache>(geometry, stats);
+        const CacheLine *array = cache->lines().data();
+        const std::vector<Addr> filled = randomTraffic(*cache, 11, 4000);
+        ASSERT_FALSE(filled.empty());
+        cache.reset();
+
+        cache = std::make_unique<Cache>(geometry, stats);
+        EXPECT_EQ(cache->lines().data(), array)
+            << "the array should be recycled on the same thread";
+        for (Addr line : filled)
+            EXPECT_FALSE(cache->probe(line));
+        expectFresh(*cache);
+        Cache never_used(geometry, stats);
+        EXPECT_EQ(digestOf(*cache), digestOf(never_used));
+    }
+}
+
+TEST(CacheReuseTest, TwoLiveCachesOfOneGeometryShareNothing)
+{
+    const CacheConfig geometry = SimConfig{}.l2;
+    StatRegistry stats;
+    for (int round = 0; round < 3; ++round) {
+        Cache a(geometry, stats);
+        Cache b(geometry, stats);
+        ASSERT_NE(a.lines().data(), b.lines().data());
+        expectFresh(a);
+        expectFresh(b);
+        randomTraffic(a, 20 + round, 3000);
+        randomTraffic(b, 30 + round, 3000);
+        EXPECT_EQ(digestOf(a), referenceDigest(a));
+        EXPECT_EQ(digestOf(b), referenceDigest(b));
+    }
+}
+
+TEST(CacheReuseTest, DestroyOnAnotherThread)
+{
+    const CacheConfig geometry = SimConfig{}.l2;
+    StatRegistry stats;
+    {
+        // Built here, filled, destroyed on a thread that never built one.
+        auto cache = std::make_unique<Cache>(geometry, stats);
+        randomTraffic(*cache, 41, 3000);
+        std::thread([owned = std::move(cache)]() mutable {
+            owned.reset();
+        }).join();
+    }
+    {
+        // Built on another thread, destroyed here.
+        std::unique_ptr<Cache> cache;
+        std::thread([&] {
+            cache = std::make_unique<Cache>(geometry, stats);
+            randomTraffic(*cache, 42, 3000);
+        }).join();
+        cache.reset();
+    }
+    Cache rebuilt(geometry, stats);
+    expectFresh(rebuilt);
 }
 
 // --- MSHR --------------------------------------------------------------
