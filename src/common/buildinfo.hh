@@ -2,7 +2,7 @@
  * @file
  * Build configuration baked in at compile time. Host-throughput
  * numbers are meaningless without the build type attached, so every
- * perf-reporting surface (dgrun --perf, the bench targets) stamps its
+ * perf-reporting surface (perfbench, the bench targets) stamps its
  * output with these constants.
  */
 

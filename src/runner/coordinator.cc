@@ -388,7 +388,6 @@ runCampaign(const std::string &manifestPath,
         unsigned deathsThisPass = 0;
         bool drainedWorker = false;
         auto lastBeat = std::chrono::steady_clock::now();
-        auto lastGauges = lastBeat;
         std::vector<bool> reaped(pids.size(), false);
         std::size_t alive = pids.size();
         while (alive > 0) {
@@ -432,27 +431,15 @@ runCampaign(const std::string &manifestPath,
                 options.heartbeatSec > 0.0 &&
                 std::chrono::duration<double>(now - lastBeat).count() >=
                     options.heartbeatSec;
-            // Campaign gauges refresh on their own clock so metrics
-            // stay live even when the heartbeat is off or slow.
-            const bool gaugesDue =
-                telemetry::enabled() &&
-                std::chrono::duration<double>(now - lastGauges).count() >=
-                    std::min(options.heartbeatSec > 0.0
-                                 ? options.heartbeatSec
-                                 : 2.0,
-                             2.0);
-            if (beatDue || gaugesDue) {
-                if (beatDue)
-                    lastBeat = now;
-                lastGauges = now;
-                // The richer probe: journals give done/failed/retried,
-                // claims give steals. Both loaders tolerate the torn
-                // final line a live writer can leave behind.
+            if (beatDue) {
+                lastBeat = now;
+                // The richer probe: journals give done/retried, claims
+                // give steals. Both loaders tolerate the torn final
+                // line a live writer can leave behind.
                 const JournalMap probe = mergeJournals(journalPaths);
-                std::size_t done = 0, failed = 0, retries = 0;
+                std::size_t done = 0, retries = 0;
                 for (const auto &entry : probe) {
                     ++done;
-                    failed += !entry.second.ok;
                     retries += entry.second.attempts > 1;
                 }
                 std::size_t stolen = 0;
@@ -465,43 +452,20 @@ runCampaign(const std::string &manifestPath,
                     rate > 0.0 ? (report.total - std::min(done, report.total)) /
                                      rate
                                : 0.0;
-                if (telemetry::enabled()) {
-                    telemetry::metricSet("dgsim_campaign_jobs_done",
-                                         static_cast<double>(done));
-                    telemetry::metricSet("dgsim_campaign_jobs_failed",
-                                         static_cast<double>(failed));
-                    telemetry::metricSet("dgsim_campaign_jobs_retried",
-                                         static_cast<double>(retries));
-                    telemetry::metricSet("dgsim_campaign_jobs_stolen",
-                                         static_cast<double>(stolen));
-                    telemetry::metricSet("dgsim_campaign_workers_alive",
-                                         static_cast<double>(alive));
-                    std::map<unsigned, std::size_t> outstanding;
-                    for (std::size_t i = 0; i < ctx.keys.size(); ++i)
-                        if (probe.find(ctx.keys[i]) == probe.end())
-                            ++outstanding[ctx.shards[i]];
-                    for (const auto &entry : outstanding)
-                        telemetry::metricSet(
-                            "dgsim_shard_outstanding{shard=\"" +
-                                std::to_string(entry.first) + "\"}",
-                            static_cast<double>(entry.second));
-                }
-                if (beatDue) {
-                    // Still one wholly formatted line, one fwrite: the
-                    // single-writer contract the runner heartbeat keeps.
-                    char line[200];
-                    const int len = std::snprintf(
-                        line, sizeof(line),
-                        "[campaign] heartbeat %zu/%zu jobs, "
-                        "%.2f jobs/s, ETA %.0fs, %zu stolen, "
-                        "%zu retried, %u worker(s) alive\n",
-                        std::min(done, report.total), report.total, rate,
-                        eta, stolen, retries,
-                        static_cast<unsigned>(alive));
-                    if (len > 0)
-                        std::fwrite(line, 1,
-                                    static_cast<std::size_t>(len), stderr);
-                }
+                // Still one wholly formatted line, one fwrite: the
+                // single-writer contract the runner heartbeat keeps.
+                char line[200];
+                const int len = std::snprintf(
+                    line, sizeof(line),
+                    "[campaign] heartbeat %zu/%zu jobs, "
+                    "%.2f jobs/s, ETA %.0fs, %zu stolen, "
+                    "%zu retried, %u worker(s) alive\n",
+                    std::min(done, report.total), report.total, rate,
+                    eta, stolen, retries,
+                    static_cast<unsigned>(alive));
+                if (len > 0)
+                    std::fwrite(line, 1,
+                                static_cast<std::size_t>(len), stderr);
             }
         }
 
@@ -552,27 +516,6 @@ runCampaign(const std::string &manifestPath,
     report.seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-    if (telemetry::enabled()) {
-        // Final gauge values: campaigns shorter than the in-flight
-        // refresh period would otherwise snapshot all-zero gauges.
-        std::size_t retries = 0;
-        for (const JobOutcome &outcome : report.outcomes)
-            retries += outcome.attempts > 1;
-        telemetry::metricSet("dgsim_campaign_jobs_done",
-                             static_cast<double>(report.ok +
-                                                 report.failed));
-        telemetry::metricSet("dgsim_campaign_jobs_failed",
-                             static_cast<double>(report.failed));
-        telemetry::metricSet("dgsim_campaign_jobs_retried",
-                             static_cast<double>(retries));
-        telemetry::metricSet("dgsim_campaign_jobs_stolen",
-                             static_cast<double>(report.stolen));
-        telemetry::metricSet("dgsim_campaign_workers_alive", 0.0);
-        telemetry::metricSet("dgsim_campaign_worker_deaths",
-                             static_cast<double>(report.workerDeaths));
-        telemetry::metricSet("dgsim_campaign_passes",
-                             static_cast<double>(report.passes));
-    }
     return report;
 }
 

@@ -71,42 +71,6 @@ injectedFaultImpl(const RunnerOptions &options, const std::string &key,
     return draw < options.injectFailRate;
 }
 
-/** Host-side completion accounting; all no-ops when telemetry is off.
- * Purely observational — results, journals and sinks never change. */
-void
-accountJobMetrics(const Job &job, const JobOutcome &outcome)
-{
-    if (!telemetry::enabled())
-        return;
-    telemetry::metricAdd(outcome.ok ? "dgsim_jobs_done_total"
-                                    : "dgsim_jobs_failed_total");
-    if (outcome.attempts > 1)
-        telemetry::metricAdd("dgsim_jobs_retried_total");
-    if (!outcome.ok)
-        return;
-    const double instructions =
-        static_cast<double>(outcome.result.instructions);
-    telemetry::metricAdd("dgsim_instructions_total", instructions);
-    telemetry::metricAdd("dgsim_skip_events_total",
-                         static_cast<double>(outcome.result.skipEvents));
-    telemetry::metricAdd(
-        "dgsim_idle_cycles_skipped_total",
-        static_cast<double>(outcome.result.idleCyclesSkipped));
-    const std::string label = "{workload=\"" + job.workload + "\"}";
-    telemetry::metricAdd("dgsim_workload_instructions_total" + label,
-                         instructions);
-    telemetry::metricAdd("dgsim_workload_host_seconds_total" + label,
-                         outcome.result.hostSeconds);
-    const double seconds = telemetry::metricValue(
-        "dgsim_workload_host_seconds_total" + label);
-    if (seconds > 0.0)
-        telemetry::metricSet(
-            "dgsim_workload_instr_per_sec" + label,
-            telemetry::metricValue("dgsim_workload_instructions_total" +
-                                   label) /
-                seconds);
-}
-
 void
 executeJobImpl(const RunnerOptions &options, const Job &job,
                const std::string &key, JobOutcome &outcome)
@@ -164,7 +128,6 @@ executeJobImpl(const RunnerOptions &options, const Job &job,
     outcome.attempts = attempt;
     span.arg("attempts", attempt);
     span.arg("ok", outcome.ok ? std::uint64_t{1} : std::uint64_t{0});
-    accountJobMetrics(job, outcome);
 }
 
 } // namespace
@@ -311,10 +274,6 @@ ExperimentRunner::run(const std::vector<Job> &jobs)
                         journalPtr->record(key, outcome);
                 }
                 const std::size_t done = completed.fetch_add(1) + 1;
-                if (telemetry::enabled())
-                    telemetry::metricSet(
-                        "dgsim_runner_queue_depth",
-                        static_cast<double>(outcomes.size() - done));
                 if (options_.progress) {
                     // Single atomic-ish fprintf per job; ordering between
                     // workers is irrelevant because `done` only grows.

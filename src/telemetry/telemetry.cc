@@ -1,21 +1,15 @@
 #include "telemetry/telemetry.hh"
 
 #include <fcntl.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/log.hh"
 #include "runner/json.hh"
-#include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
 
 namespace dgsim::telemetry
@@ -26,26 +20,17 @@ namespace detail
 /**
  * The whole enabled-telemetry world. Forked workers inherit a copy:
  * the epoch stays shared (so timestamps align across processes) while
- * reopenForWorker() swaps the process-local pieces (event fd, pid,
- * registry). The snapshot thread exists only in the process that
- * called enable(); fork does not duplicate threads.
+ * reopenForWorker() swaps the process-local pieces (event fd, pid).
  */
 struct TelemetryState
 {
-    TelemetryConfig config;
+    std::string tracePath;
     std::chrono::steady_clock::time_point epoch;
 
     int eventFd = -1;
     int pid = 0;
     unsigned workers = 0;
     bool finalized = false;
-
-    MetricsRegistry *registry = nullptr;
-
-    std::thread snapshotThread;
-    std::mutex snapshotMutex;
-    std::condition_variable snapshotCv;
-    bool snapshotStop = false;
 };
 
 std::atomic<TelemetryState *> g_state{nullptr};
@@ -66,15 +51,15 @@ threadTid()
 }
 
 std::string
-mainEventPath(const TelemetryConfig &config)
+mainEventPath(const std::string &tracePath)
 {
-    return config.tracePath + ".main.events";
+    return tracePath + ".main.events";
 }
 
 std::string
-workerEventPath(const TelemetryConfig &config, unsigned worker)
+workerEventPath(const std::string &tracePath, unsigned worker)
 {
-    return config.tracePath + ".w" + std::to_string(worker) + ".events";
+    return tracePath + ".w" + std::to_string(worker) + ".events";
 }
 
 /** One whole line, one write(2): the claims-appender idiom. Events
@@ -110,37 +95,6 @@ openEventFile(const std::string &path, bool truncate)
     return fd;
 }
 
-/** Peak RSS in bytes: ru_maxrss is KiB on Linux. */
-double
-maxRssBytes()
-{
-    struct ::rusage self{};
-    struct ::rusage children{};
-    ::getrusage(RUSAGE_SELF, &self);
-    ::getrusage(RUSAGE_CHILDREN, &children);
-    const long kib = std::max(self.ru_maxrss, children.ru_maxrss);
-    return static_cast<double>(kib) * 1024.0;
-}
-
-void
-writeSnapshot(TelemetryState &state)
-{
-    if (state.config.metricsPath.empty() || !state.registry)
-        return;
-    const double uptime =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      state.epoch)
-            .count();
-    state.registry->set("dgsim_uptime_seconds", uptime);
-    state.registry->set("dgsim_maxrss_bytes", maxRssBytes());
-    const double instructions =
-        state.registry->value("dgsim_instructions_total");
-    state.registry->set(
-        "dgsim_kips", uptime > 0.0 ? instructions / uptime / 1000.0 : 0.0);
-    writeFileAtomic(state.config.metricsPath,
-                    state.registry->renderPrometheus());
-}
-
 } // namespace
 
 std::uint64_t
@@ -157,8 +111,6 @@ emitSpan(TelemetryState &state, const char *name, const char *cat,
          std::uint64_t start_us, std::uint64_t end_us,
          const std::string &args)
 {
-    if (state.eventFd < 0 || state.config.tracePath.empty())
-        return;
     std::string line;
     line.reserve(160 + args.size());
     line += "{\"name\":\"";
@@ -179,31 +131,18 @@ emitSpan(TelemetryState &state, const char *name, const char *cat,
 using detail::TelemetryState;
 
 void
-enable(const TelemetryConfig &config)
+enable(const std::string &tracePath)
 {
     if (enabled())
         DGSIM_FATAL("telemetry is already enabled in this process");
     auto *state = new TelemetryState;
-    state->config = config;
+    state->tracePath = tracePath;
     state->epoch = std::chrono::steady_clock::now();
     state->pid = static_cast<int>(::getpid());
-    state->registry = new MetricsRegistry;
-    if (!config.tracePath.empty())
-        state->eventFd = detail::openEventFile(
-            detail::mainEventPath(config), /*truncate=*/true);
+    state->eventFd = detail::openEventFile(detail::mainEventPath(tracePath),
+                                           /*truncate=*/true);
     detail::g_state.store(state, std::memory_order_release);
     emitProcessName("dgrun");
-
-    if (!config.metricsPath.empty() && config.metricsPeriodSec > 0.0) {
-        state->snapshotThread = std::thread([state] {
-            const auto period =
-                std::chrono::duration<double>(state->config.metricsPeriodSec);
-            std::unique_lock<std::mutex> lock(state->snapshotMutex);
-            while (!state->snapshotCv.wait_for(
-                lock, period, [state] { return state->snapshotStop; }))
-                detail::writeSnapshot(*state);
-        });
-    }
 }
 
 void
@@ -217,18 +156,7 @@ shutdown()
     // none by the time dgrun shuts down, but cheap insurance) stop
     // observing the state being torn down.
     detail::g_state.store(nullptr, std::memory_order_release);
-    if (state->snapshotThread.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(state->snapshotMutex);
-            state->snapshotStop = true;
-        }
-        state->snapshotCv.notify_all();
-        state->snapshotThread.join();
-    }
-    detail::writeSnapshot(*state);
-    if (state->eventFd >= 0)
-        ::close(state->eventFd);
-    delete state->registry;
+    ::close(state->eventFd);
     delete state;
 }
 
@@ -240,20 +168,10 @@ reopenForWorker(unsigned worker)
     if (!state)
         return;
     state->pid = static_cast<int>(::getpid());
-    if (state->eventFd >= 0)
-        ::close(state->eventFd);
-    if (!state->config.tracePath.empty())
-        state->eventFd = detail::openEventFile(
-            detail::workerEventPath(state->config, worker),
-            /*truncate=*/false);
-    // The inherited registry's mutex may have been held by a parent
-    // thread at fork time; locking it here could deadlock forever.
-    // Replace it wholesale and deliberately leak the old object (a few
-    // hundred bytes, once per worker) — destroying a locked mutex is
-    // undefined behavior.
-    state->registry = new MetricsRegistry;
-    // The snapshot thread did not survive the fork; make the handle
-    // unjoinable state-wise by never touching it: workers _exit().
+    ::close(state->eventFd);
+    state->eventFd = detail::openEventFile(
+        detail::workerEventPath(state->tracePath, worker),
+        /*truncate=*/false);
     emitProcessName("worker " + std::to_string(worker));
 }
 
@@ -265,13 +183,11 @@ setWorkerCount(unsigned workers)
     if (!state)
         return;
     state->workers = workers;
-    if (state->config.tracePath.empty())
-        return;
     // Stale part files from a previous incarnation of this campaign
     // carry timestamps from a dead epoch; a resumed campaign starts
     // its trace fresh, like the claims rotation.
     for (unsigned w = 0; w < workers; ++w)
-        ::unlink(detail::workerEventPath(state->config, w).c_str());
+        ::unlink(detail::workerEventPath(state->tracePath, w).c_str());
 }
 
 std::string
@@ -279,21 +195,20 @@ finalizeTrace()
 {
     TelemetryState *state =
         detail::g_state.load(std::memory_order_acquire);
-    if (!state || state->config.tracePath.empty())
+    if (!state)
         return "";
     if (state->finalized)
-        return state->config.tracePath;
+        return state->tracePath;
     state->finalized = true;
     std::vector<std::string> parts;
-    parts.push_back(detail::mainEventPath(state->config));
+    parts.push_back(detail::mainEventPath(state->tracePath));
     for (unsigned w = 0; w < state->workers; ++w)
-        parts.push_back(detail::workerEventPath(state->config, w));
-    const std::size_t events =
-        mergeTraceFiles(parts, state->config.tracePath);
+        parts.push_back(detail::workerEventPath(state->tracePath, w));
+    const std::size_t events = mergeTraceFiles(parts, state->tracePath);
     DGSIM_INFORM("telemetry: merged " + std::to_string(events) +
                  " event(s) from " + std::to_string(parts.size()) +
-                 " part file(s) into " + state->config.tracePath);
-    return state->config.tracePath;
+                 " part file(s) into " + state->tracePath);
+    return state->tracePath;
 }
 
 void
@@ -301,7 +216,7 @@ emitProcessName(const std::string &name)
 {
     TelemetryState *state =
         detail::g_state.load(std::memory_order_acquire);
-    if (!state || state->eventFd < 0)
+    if (!state)
         return;
     const std::string line =
         "{\"name\":\"process_name\",\"cat\":\"__metadata\",\"ph\":\"M\","
@@ -309,41 +224,6 @@ emitProcessName(const std::string &name)
         std::to_string(state->pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
         runner::jsonEscape(name) + "\"}}\n";
     detail::writeLine(state->eventFd, line);
-}
-
-void
-metricAdd(const std::string &name, double delta)
-{
-    TelemetryState *state =
-        detail::g_state.load(std::memory_order_relaxed);
-    if (state && state->registry)
-        state->registry->add(name, delta);
-}
-
-void
-metricSet(const std::string &name, double value)
-{
-    TelemetryState *state =
-        detail::g_state.load(std::memory_order_relaxed);
-    if (state && state->registry)
-        state->registry->set(name, value);
-}
-
-double
-metricValue(const std::string &name)
-{
-    TelemetryState *state =
-        detail::g_state.load(std::memory_order_relaxed);
-    return state && state->registry ? state->registry->value(name) : 0.0;
-}
-
-void
-writeMetricsSnapshotNow()
-{
-    TelemetryState *state =
-        detail::g_state.load(std::memory_order_acquire);
-    if (state)
-        detail::writeSnapshot(*state);
 }
 
 void

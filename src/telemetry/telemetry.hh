@@ -1,7 +1,7 @@
 /**
  * @file
- * Fleet telemetry: hierarchical span tracing + host metric counters
- * for the campaign/runner layer (DESIGN.md §11).
+ * Fleet telemetry: hierarchical span tracing for the campaign/runner
+ * layer (DESIGN.md §11).
  *
  * Everything here is host-side observability: no simulated counter,
  * stats dump, journal or sink line ever changes with telemetry on or
@@ -30,17 +30,6 @@
 namespace dgsim::telemetry
 {
 
-/** What `dgrun --telemetry/--metrics` enables. */
-struct TelemetryConfig
-{
-    /** Merged Chrome trace-event JSON output ("" = tracing off). */
-    std::string tracePath;
-    /** Prometheus-text snapshot file ("" = metrics off). */
-    std::string metricsPath;
-    /** Snapshot period in seconds (with metricsPath). */
-    double metricsPeriodSec = 5.0;
-};
-
 namespace detail
 {
 struct TelemetryState;
@@ -60,27 +49,23 @@ enabled()
 }
 
 /**
- * Turn telemetry on for this process. Truncates this process's event
- * part file; captures the monotonic epoch all timestamps (including
- * forked workers', which inherit it) are measured from; starts the
- * metrics snapshot thread when the config asks for one. Fatal when
- * already enabled — nesting would corrupt the epoch.
+ * Turn telemetry on for this process, tracing into @p tracePath (the
+ * merged Chrome trace-event JSON output). Truncates this process's
+ * event part file and captures the monotonic epoch all timestamps
+ * (including forked workers', which inherit it) are measured from.
+ * Fatal when already enabled — nesting would corrupt the epoch.
  */
-void enable(const TelemetryConfig &config);
+void enable(const std::string &tracePath);
 
-/**
- * Final metrics snapshot, join the snapshot thread, close the event
- * file, disable. Safe to call when disabled (no-op).
- */
+/** Close the event file and disable. Safe to call when disabled
+ * (no-op). */
 void shutdown();
 
 /**
  * Post-fork worker setup: redirect span output to the worker's own
  * O_APPEND event part file (appends across recovery passes), refresh
- * the cached pid, replace the metrics registry wholesale (the
- * inherited one's mutex may have been mid-lock at fork), and emit the
- * Perfetto process-name metadata for this worker's track. No-op when
- * telemetry is off.
+ * the cached pid, and emit the Perfetto process-name metadata for this
+ * worker's track. No-op when telemetry is off.
  */
 void reopenForWorker(unsigned worker);
 
@@ -96,28 +81,13 @@ void setWorkerCount(unsigned workers);
  * Merge the per-process event part files into the configured trace
  * path as one strict-JSON Chrome trace-event document. Tolerates a
  * truncated final line per part file (a killed worker's artifact).
- * Returns the merged path, or "" when tracing is off. Idempotent —
+ * Returns the merged path, or "" when telemetry is off. Idempotent —
  * only the first call merges.
  */
 std::string finalizeTrace();
 
 /** Emit Perfetto "process_name" metadata for this process's track. */
 void emitProcessName(const std::string &name);
-
-// --- Metric counters/gauges (no-ops when disabled) ---------------------
-
-/** Add @p delta to counter @p name (Prometheus name, labels inline). */
-void metricAdd(const std::string &name, double delta = 1.0);
-
-/** Set gauge @p name to @p value. */
-void metricSet(const std::string &name, double value);
-
-/** Current value of @p name (0 when absent or disabled). */
-double metricValue(const std::string &name);
-
-/** Write a metrics snapshot now (temp file + rename). No-op unless
- * metrics output is configured. */
-void writeMetricsSnapshotNow();
 
 /**
  * RAII span. Construction stamps the start, destruction emits one

@@ -18,10 +18,8 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/buildinfo.hh"
 #include "common/signals.hh"
 #include "fuzz/dgasm.hh"
 #include "fuzz/fuzz.hh"
@@ -107,11 +105,6 @@ sharded campaigns (fleet-scale sweeps):
                       other flags select (or --campaign F's manifest);
                       write it with --jsonl/--csv, or --journal OUT for
                       a merged journal --resume accepts
-  --campaign-bench    measure campaign jobs/sec at 1, 2, 4 and 8 workers
-                      and write BENCH_campaign_scaling.json (warns below
-                      3x at 4 workers; never fails on throughput)
-  --campaign-bench-out F
-                      JSON path for --campaign-bench
 
 leak fuzzing (relational attacker-program oracle):
   --fuzz N            fuzzing campaign: synthesize N attacker-program
@@ -145,11 +138,6 @@ fleet telemetry (host-side only; results stay byte-identical):
                       Spans cover campaign, passes, workers, jobs and
                       phases (ffwd-warm, detailed-window, retry-backoff,
                       journal-append, steal)
-  --metrics FILE[,SECS]
-                      write a Prometheus-text metrics snapshot to FILE
-                      every SECS seconds (default 5): jobs done/failed/
-                      retried/stolen, instructions, KIPS, peak RSS,
-                      per-workload throughput, queue depth
   --report J1 J2 ...  straggler/latency report from completion journals
                       (+ the --telemetry FILE trace when given): p50/p95/
                       p99 job wall-time per workload and per config,
@@ -158,20 +146,10 @@ fleet telemetry (host-side only; results stay byte-identical):
   --validate-telemetry FILE
                       strict-parse and structurally validate a merged
                       trace-event file, then exit
-  --perf              host-throughput mode: run the sweep on ONE thread,
-                      time each config and write BENCH_host_throughput.json
-                      (simulated KIPS per config and per workload,
-                      idle-skip accounting, wall-clock, build type)
-  --perf-out FILE     JSON path for --perf (default BENCH_host_throughput.json)
   --no-skip           disable event-driven idle-cycle skipping and tick
                       every cycle. Results are byte-identical either way
                       (enforced by golden_stats_test); this exists for
                       byte-compare experiments and skip-layer debugging
-  --skip-bench        run one job (select it like --ffwd-bench) twice —
-                      idle skip on, then off — verify identical results
-                      and write BENCH_idle_skip.json (warns below the
-                      1.5x speedup target; never fails on throughput)
-  --skip-bench-out F  JSON path for --skip-bench (implies --skip-bench)
   --quiet             suppress the progress line
   --list              list available workloads and exit
   --help              show this message
@@ -191,10 +169,6 @@ sampled simulation (checkpoint / fast-forward):
   --tier NAME         workload tier when --suite is not given: default
                       (the paper suite), long (>= 1M-instruction
                       fast-forward targets) or all
-  --ffwd-bench        measure ffwd-vs-detailed end-to-end speedup for a
-                      one-job sweep with --ffwd and write
-                      BENCH_ffwd_throughput.json (warns below 10x)
-  --ffwd-bench-out F  JSON path for --ffwd-bench (implies --ffwd-bench)
 
 observability:
   --trace FILE        write an O3PipeView pipeline trace ("-" = stdout;
@@ -280,11 +254,7 @@ struct Options
     std::string jsonlPath;
     std::string csvPath;
     bool verify = false;
-    bool perf = false;
-    std::string perfOutPath = "BENCH_host_throughput.json";
     bool idleSkip = true;
-    bool skipBench = false;
-    std::string skipBenchOutPath = "BENCH_idle_skip.json";
     bool quiet = false;
 
     // Sampled simulation.
@@ -295,8 +265,6 @@ struct Options
     std::uint64_t ckptSaveInst = 0;
     std::string ckptRestorePath;
     std::string tier = "default";
-    bool ffwdBench = false;
-    std::string ffwdBenchOutPath = "BENCH_ffwd_throughput.json";
 
     // Fault tolerance.
     std::string journalPath;
@@ -320,8 +288,6 @@ struct Options
     unsigned workers = 0; // 0 = manifest shard count.
     std::vector<std::string> mergePaths;
     bool merge = false;
-    bool campaignBench = false;
-    std::string campaignBenchOutPath = "BENCH_campaign_scaling.json";
 
     // Leak fuzzing.
     std::uint64_t fuzzCount = 0; // 0 = not a fuzzing run.
@@ -333,8 +299,6 @@ struct Options
 
     // Fleet telemetry.
     std::string telemetryPath;
-    std::string metricsPath;
-    double metricsPeriodSec = 5.0;
     bool report = false;
     std::vector<std::string> reportPaths;
     std::string validateTelemetryPath;
@@ -494,22 +458,6 @@ parseArgs(int argc, char **argv)
             options.fuzzReplayPath = next(i, "--fuzz-replay");
         } else if (arg == "--telemetry") {
             options.telemetryPath = next(i, "--telemetry");
-        } else if (arg == "--metrics") {
-            const std::string spec = next(i, "--metrics");
-            const std::size_t comma = spec.rfind(',');
-            options.metricsPath = spec.substr(0, comma);
-            if (comma != std::string::npos) {
-                errno = 0;
-                char *end = nullptr;
-                options.metricsPeriodSec =
-                    std::strtod(spec.substr(comma + 1).c_str(), &end);
-                if (*end != '\0' || errno == ERANGE ||
-                    options.metricsPeriodSec <= 0.0)
-                    usageError("--metrics needs FILE[,SECS] with positive "
-                               "SECS, got '" + spec + "'");
-            }
-            if (options.metricsPath.empty())
-                usageError("--metrics needs a file path");
         } else if (arg == "--report") {
             options.report = true;
             while (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
@@ -519,23 +467,8 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--validate-telemetry") {
             options.validateTelemetryPath =
                 next(i, "--validate-telemetry");
-        } else if (arg == "--campaign-bench") {
-            options.campaignBench = true;
-        } else if (arg == "--campaign-bench-out") {
-            options.campaignBenchOutPath = next(i, "--campaign-bench-out");
-            options.campaignBench = true;
-        } else if (arg == "--perf") {
-            options.perf = true;
-        } else if (arg == "--perf-out") {
-            options.perfOutPath = next(i, "--perf-out");
-            options.perf = true;
         } else if (arg == "--no-skip") {
             options.idleSkip = false;
-        } else if (arg == "--skip-bench") {
-            options.skipBench = true;
-        } else if (arg == "--skip-bench-out") {
-            options.skipBenchOutPath = next(i, "--skip-bench-out");
-            options.skipBench = true;
         } else if (arg == "--quiet") {
             options.quiet = true;
         } else if (arg == "--trace") {
@@ -582,11 +515,6 @@ parseArgs(int argc, char **argv)
             if (options.tier != "default" && options.tier != "long" &&
                 options.tier != "all")
                 usageError("--tier must be default, long or all");
-        } else if (arg == "--ffwd-bench") {
-            options.ffwdBench = true;
-        } else if (arg == "--ffwd-bench-out") {
-            options.ffwdBenchOutPath = next(i, "--ffwd-bench-out");
-            options.ffwdBench = true;
         } else if (arg == "--wedge") {
             options.wedge = true;
         } else if (arg == "--dists") {
@@ -1052,499 +980,6 @@ runCampaignMode(const Options &options)
     return exitCode;
 }
 
-/**
- * --campaign-bench: the scaling curve of the campaign layer. Runs the
- * selected sweep as a fresh campaign at 1, 2, 4 and 8 workers (8
- * shards), timing each, and records jobs/sec per worker count. The
- * 4-worker point carries the >= 3x acceptance target; like every other
- * throughput bench it warns instead of failing — shared hosts are too
- * noisy to gate on.
- */
-int
-runCampaignBench(const Options &options)
-{
-    if (!buildinfo::isReleaseBuild())
-        std::fprintf(stderr,
-                     "[dgrun] warning: build type is '%s', not Release; "
-                     "throughput numbers are not comparable\n",
-                     buildinfo::kBuildType);
-
-    constexpr unsigned kWorkerCounts[] = {1, 2, 4, 8};
-    constexpr unsigned kShards = 8;
-
-    CampaignManifest manifest = manifestFromOptions(options);
-    manifest.name = "campaign-bench";
-    manifest.shards = kShards;
-    const SweepSpec spec = manifestSpec(manifest);
-    const std::vector<Job> jobs = spec.expand();
-    for (const Job &job : jobs)
-        manifest.jobKeys.push_back(jobKey(job));
-
-    const std::string manifestPath =
-        options.campaignBenchOutPath + ".manifest";
-    writeManifest(manifestPath, manifest);
-
-    std::ofstream out(options.campaignBenchOutPath);
-    if (!out)
-        usageError("cannot open " + options.campaignBenchOutPath);
-
-    const unsigned cores = std::thread::hardware_concurrency();
-    std::fprintf(stderr,
-                 "[dgrun] campaign-bench: %zu jobs x {1,2,4,8} workers, "
-                 "%u shard(s), %u host core(s), %s build\n",
-                 jobs.size(), kShards, cores, buildinfo::kBuildType);
-
-    struct Point
-    {
-        unsigned workers;
-        double seconds;
-        double jobsPerSec;
-    };
-    std::vector<Point> points;
-    for (unsigned workers : kWorkerCounts) {
-        // Every measurement is a cold campaign: stale worker journals
-        // would resume (and measure nothing).
-        for (unsigned w = 0; w < kShards; ++w)
-            std::remove(workerJournalPath(manifestPath, w).c_str());
-        std::remove(claimsPath(manifestPath).c_str());
-
-        CoordinatorOptions copts;
-        copts.workers = workers;
-        copts.progress = false;
-        const CampaignReport report =
-            runCampaign(manifestPath, manifest, copts);
-        if (report.missing != 0 || report.failed != 0)
-            std::fprintf(stderr,
-                         "[dgrun] campaign-bench WARNING: %u-worker run "
-                         "left %zu missing / %zu failed job(s)\n",
-                         workers, report.missing, report.failed);
-        const double jobsPerSec =
-            report.seconds > 0.0 ? report.total / report.seconds : 0.0;
-        points.push_back({workers, report.seconds, jobsPerSec});
-        std::fprintf(stderr,
-                     "[dgrun] campaign-bench: %u worker(s): %.2fs, "
-                     "%.2f jobs/s\n",
-                     workers, report.seconds, jobsPerSec);
-    }
-
-    const double base = points[0].jobsPerSec;
-    double speedup4 = 0.0;
-    out << "{\n"
-        << "  \"benchmark\": \"campaign_scaling\",\n"
-        << "  \"build_type\": \"" << buildinfo::kBuildType << "\",\n"
-        << "  \"native_arch\": "
-        << (buildinfo::kNativeArch ? "true" : "false") << ",\n"
-        << "  \"host_cores\": " << cores << ",\n"
-        << "  \"shards\": " << kShards << ",\n"
-        << "  \"jobs\": " << jobs.size() << ",\n"
-        << "  \"instructions_per_job\": " << options.instructions << ",\n"
-        << "  \"points\": [\n";
-    char buffer[256];
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const double speedup =
-            base > 0.0 ? points[i].jobsPerSec / base : 0.0;
-        if (points[i].workers == 4)
-            speedup4 = speedup;
-        std::snprintf(buffer, sizeof(buffer),
-                      "    {\"workers\": %u, \"wall_seconds\": %.6f, "
-                      "\"jobs_per_sec\": %.3f, \"speedup_vs_1\": %.2f}%s\n",
-                      points[i].workers, points[i].seconds,
-                      points[i].jobsPerSec, speedup,
-                      i + 1 < points.size() ? "," : "");
-        out << buffer;
-    }
-    std::snprintf(buffer, sizeof(buffer),
-                  "  ],\n  \"speedup_4_workers\": %.2f\n}\n", speedup4);
-    out << buffer;
-
-    std::fprintf(stderr,
-                 "[dgrun] campaign-bench: 4-worker speedup %.2fx; wrote "
-                 "%s\n",
-                 speedup4, options.campaignBenchOutPath.c_str());
-    if (speedup4 < 3.0)
-        std::fprintf(stderr,
-                     "[dgrun] campaign-bench WARNING: 4-worker speedup "
-                     "%.2fx is below the 3x target (needs >= 4 host "
-                     "cores; this host has %u)\n",
-                     speedup4, cores);
-    return 0;
-}
-
-/**
- * --perf: host-throughput mode. Runs every job of the sweep serially
- * on the calling thread, timing each run, so the numbers measure the
- * simulator's cycle loop rather than thread-pool scheduling. Warmup
- * stat resets are disabled so "simulated instructions" counts every
- * instruction the core committed. Results are aggregated per config
- * column and written as JSON for trend tracking in CI.
- */
-int
-runPerfMode(const Options &options)
-{
-    if (!buildinfo::isReleaseBuild())
-        std::fprintf(stderr,
-                     "[dgrun] warning: build type is '%s', not Release; "
-                     "throughput numbers are not comparable\n",
-                     buildinfo::kBuildType);
-
-    SweepSpec spec = buildSpec(options);
-    for (SimConfig &config : spec.configs)
-        config.warmupInstructions = 0;
-    const std::vector<Job> jobs = spec.expand();
-
-    std::ofstream out(options.perfOutPath);
-    if (!out)
-        usageError("cannot open " + options.perfOutPath);
-
-    std::fprintf(stderr,
-                 "[dgrun] perf: %zu workloads x %zu configs, %llu "
-                 "instructions each, 1 thread, %s build\n",
-                 spec.workloads.size(), spec.configs.size(),
-                 static_cast<unsigned long long>(options.instructions),
-                 buildinfo::kBuildType);
-
-    struct PerfTotals
-    {
-        std::string label;
-        std::size_t runs = 0;
-        double seconds = 0.0;
-        std::uint64_t instructions = 0;
-        std::uint64_t cycles = 0;
-        std::uint64_t idleCyclesSkipped = 0;
-        std::uint64_t skipEvents = 0;
-    };
-    std::vector<PerfTotals> totals(spec.configs.size());
-    std::vector<PerfTotals> perWorkload(spec.workloads.size());
-
-    for (const Job &job : jobs) {
-        const auto start = std::chrono::steady_clock::now();
-        const SimResult result = runProgram(*job.program, job.config);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        // Expansion order is workloads outer, configs inner.
-        const auto account = [&](PerfTotals &bucket,
-                                 const std::string &label) {
-            bucket.label = label;
-            ++bucket.runs;
-            bucket.seconds += elapsed.count();
-            bucket.instructions += result.instructions;
-            bucket.cycles += result.cycles;
-            bucket.idleCyclesSkipped += result.idleCyclesSkipped;
-            bucket.skipEvents += result.skipEvents;
-        };
-        account(totals[job.index % spec.configs.size()],
-                job.config.label());
-        account(perWorkload[job.index / spec.configs.size()],
-                job.workload);
-    }
-
-    const auto kips = [](std::uint64_t instructions, double seconds) {
-        return seconds > 0.0
-                   ? static_cast<double>(instructions) / seconds / 1000.0
-                   : 0.0;
-    };
-
-    double total_seconds = 0.0;
-    std::uint64_t total_instructions = 0;
-    std::uint64_t total_skipped = 0;
-    std::uint64_t total_skip_events = 0;
-    std::size_t total_runs = 0;
-
-    char buffer[512];
-    const auto emitRows = [&](const std::vector<PerfTotals> &rows) {
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const PerfTotals &bucket = rows[i];
-            std::snprintf(
-                buffer, sizeof(buffer),
-                "    {\"label\": \"%s\", \"runs\": %zu, "
-                "\"wall_seconds\": %.6f, "
-                "\"simulated_instructions\": %llu, "
-                "\"simulated_cycles\": %llu, "
-                "\"idleCyclesSkipped\": %llu, "
-                "\"skipEvents\": %llu, "
-                "\"kips\": %.1f}%s\n",
-                bucket.label.c_str(), bucket.runs, bucket.seconds,
-                static_cast<unsigned long long>(bucket.instructions),
-                static_cast<unsigned long long>(bucket.cycles),
-                static_cast<unsigned long long>(bucket.idleCyclesSkipped),
-                static_cast<unsigned long long>(bucket.skipEvents),
-                kips(bucket.instructions, bucket.seconds),
-                i + 1 < rows.size() ? "," : "");
-            out << buffer;
-        }
-    };
-
-    out << "{\n"
-        << "  \"benchmark\": \"host_throughput\",\n"
-        << "  \"build_type\": \"" << buildinfo::kBuildType << "\",\n"
-        << "  \"native_arch\": "
-        << (buildinfo::kNativeArch ? "true" : "false") << ",\n"
-        << "  \"threads\": 1,\n"
-        << "  \"idle_skip\": " << (options.idleSkip ? "true" : "false")
-        << ",\n"
-        << "  \"instructions_per_run\": " << options.instructions << ",\n"
-        << "  \"workloads\": " << spec.workloads.size() << ",\n"
-        << "  \"configs\": [\n";
-    for (const PerfTotals &bucket : totals) {
-        total_seconds += bucket.seconds;
-        total_instructions += bucket.instructions;
-        total_skipped += bucket.idleCyclesSkipped;
-        total_skip_events += bucket.skipEvents;
-        total_runs += bucket.runs;
-        std::fprintf(stderr, "[dgrun] perf: %-10s %8.2fs  %8.1f KIPS\n",
-                     bucket.label.c_str(), bucket.seconds,
-                     kips(bucket.instructions, bucket.seconds));
-    }
-    emitRows(totals);
-    out << "  ],\n"
-        << "  \"workload_rows\": [\n";
-    emitRows(perWorkload);
-    std::snprintf(buffer, sizeof(buffer),
-                  "  ],\n"
-                  "  \"total\": {\"runs\": %zu, \"wall_seconds\": %.6f, "
-                  "\"simulated_instructions\": %llu, "
-                  "\"idleCyclesSkipped\": %llu, \"skipEvents\": %llu, "
-                  "\"kips\": %.1f}\n"
-                  "}\n",
-                  total_runs, total_seconds,
-                  static_cast<unsigned long long>(total_instructions),
-                  static_cast<unsigned long long>(total_skipped),
-                  static_cast<unsigned long long>(total_skip_events),
-                  kips(total_instructions, total_seconds));
-    out << buffer;
-
-    std::fprintf(stderr,
-                 "[dgrun] perf: total %.2fs for %llu simulated "
-                 "instructions -> %.1f KIPS (%llu idle cycles skipped in "
-                 "%llu warps); wrote %s\n",
-                 total_seconds,
-                 static_cast<unsigned long long>(total_instructions),
-                 kips(total_instructions, total_seconds),
-                 static_cast<unsigned long long>(total_skipped),
-                 static_cast<unsigned long long>(total_skip_events),
-                 options.perfOutPath.c_str());
-    return 0;
-}
-
-/**
- * --skip-bench: measure the host-time win of event-driven idle-cycle
- * skipping on one job by running it twice, skip on then skip off, and
- * verifying the two runs produced identical simulated results (the
- * whole point of the time-warp design). Memory-bound long-tier
- * workloads are the target population: the more stalled cycles, the
- * bigger the win. CI tracks it via BENCH_idle_skip.json.
- */
-int
-runSkipBench(const Options &options)
-{
-    if (!buildinfo::isReleaseBuild())
-        std::fprintf(stderr,
-                     "[dgrun] warning: build type is '%s', not Release; "
-                     "throughput numbers are not comparable\n",
-                     buildinfo::kBuildType);
-
-    SweepSpec spec = buildSpec(options);
-    const std::vector<Job> jobs = spec.expand();
-    if (jobs.size() != 1)
-        usageError("--skip-bench needs exactly one workload x config (use "
-                   "--suite, --schemes and --ap to select one); the sweep "
-                   "has " + std::to_string(jobs.size()) + " jobs");
-    const Job &job = jobs[0];
-
-    std::ofstream out(options.skipBenchOutPath);
-    if (!out)
-        usageError("cannot open " + options.skipBenchOutPath);
-
-    auto timeRun = [&](bool skip) {
-        SimConfig config = job.config;
-        config.idleSkip = skip;
-        std::string dump;
-        const auto start = std::chrono::steady_clock::now();
-        const SimResult result = runProgram(*job.program, config, &dump);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        return std::make_tuple(result, std::move(dump), elapsed.count());
-    };
-    const auto [onResult, onDump, onSeconds] = timeRun(true);
-    const auto [offResult, offDump, offSeconds] = timeRun(false);
-
-    // The correctness tripwire: skipping must be invisible in every
-    // simulated counter. golden_stats_test enforces this across the
-    // full matrix; re-checking here costs nothing and makes a red
-    // benchmark self-diagnosing.
-    if (onDump != offDump) {
-        std::fprintf(stderr,
-                     "[dgrun] skip-bench ERROR: stats dumps differ "
-                     "between skip-on and skip-off runs of %s/%s — the "
-                     "idle-skip layer changed simulated results\n",
-                     job.workload.c_str(), job.config.label().c_str());
-        return 1;
-    }
-
-    const double speedup = onSeconds > 0.0 ? offSeconds / onSeconds : 0.0;
-    const double skippedPct =
-        onResult.cycles != 0
-            ? 100.0 * static_cast<double>(onResult.idleCyclesSkipped) /
-                  static_cast<double>(onResult.cycles)
-            : 0.0;
-    const auto kips = [](std::uint64_t instructions, double seconds) {
-        return seconds > 0.0
-                   ? static_cast<double>(instructions) / seconds / 1000.0
-                   : 0.0;
-    };
-
-    char buffer[1024];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "{\n"
-        "  \"benchmark\": \"idle_skip\",\n"
-        "  \"build_type\": \"%s\",\n"
-        "  \"native_arch\": %s,\n"
-        "  \"workload\": \"%s\",\n"
-        "  \"config\": \"%s\",\n"
-        "  \"instructions\": %llu,\n"
-        "  \"simulated_cycles\": %llu,\n"
-        "  \"idleCyclesSkipped\": %llu,\n"
-        "  \"skipEvents\": %llu,\n"
-        "  \"skipped_pct\": %.2f,\n"
-        "  \"results_identical\": true,\n"
-        "  \"skip_on\": {\"wall_seconds\": %.6f, \"kips\": %.1f},\n"
-        "  \"skip_off\": {\"wall_seconds\": %.6f, \"kips\": %.1f},\n"
-        "  \"speedup\": %.2f\n"
-        "}\n",
-        buildinfo::kBuildType, buildinfo::kNativeArch ? "true" : "false",
-        job.workload.c_str(), job.config.label().c_str(),
-        static_cast<unsigned long long>(onResult.instructions),
-        static_cast<unsigned long long>(onResult.cycles),
-        static_cast<unsigned long long>(onResult.idleCyclesSkipped),
-        static_cast<unsigned long long>(onResult.skipEvents),
-        skippedPct, onSeconds, kips(onResult.instructions, onSeconds),
-        offSeconds, kips(offResult.instructions, offSeconds), speedup);
-    out << buffer;
-
-    std::fprintf(stderr,
-                 "[dgrun] skip-bench: %s/%s skip-off %.2fs vs skip-on "
-                 "%.2fs -> %.2fx (%.1f%% of %llu cycles skipped in %llu "
-                 "warps); wrote %s\n",
-                 job.workload.c_str(), job.config.label().c_str(),
-                 offSeconds, onSeconds, speedup, skippedPct,
-                 static_cast<unsigned long long>(onResult.cycles),
-                 static_cast<unsigned long long>(onResult.skipEvents),
-                 options.skipBenchOutPath.c_str());
-    if (speedup < 1.5)
-        std::fprintf(stderr,
-                     "[dgrun] skip-bench WARNING: speedup %.2fx is below "
-                     "the 1.5x target (compute-bound workloads, tiny "
-                     "budgets or debug builds blunt it)\n",
-                     speedup);
-    return 0;
-}
-
-/**
- * --ffwd-bench: measure the end-to-end host-time win of functional
- * fast-forward over full-detail simulation of the same instruction
- * span. Run A simulates all F+D instructions in the detailed core;
- * run B fast-forwards F functionally and simulates only the D-sized
- * window in detail. The speedup is what makes long-horizon workloads
- * tractable; CI tracks it via BENCH_ffwd_throughput.json.
- */
-int
-runFfwdBench(const Options &options)
-{
-    if (!buildinfo::isReleaseBuild())
-        std::fprintf(stderr,
-                     "[dgrun] warning: build type is '%s', not Release; "
-                     "throughput numbers are not comparable\n",
-                     buildinfo::kBuildType);
-    if (options.ffwdInstructions == 0)
-        usageError("--ffwd-bench needs --ffwd N (the span to fast-forward)");
-
-    SweepSpec spec = buildSpec(options);
-    const std::vector<Job> jobs = spec.expand();
-    if (jobs.size() != 1)
-        usageError("--ffwd-bench needs exactly one workload x config (use "
-                   "--suite, --schemes and --ap to select one); the sweep "
-                   "has " + std::to_string(jobs.size()) + " jobs");
-    const Job &job = jobs[0];
-
-    std::ofstream out(options.ffwdBenchOutPath);
-    if (!out)
-        usageError("cannot open " + options.ffwdBenchOutPath);
-
-    const std::uint64_t ffwd_span = options.ffwdInstructions;
-    const std::uint64_t detail_span = options.instructions;
-
-    // Run B first (fast): F fast-forwarded + D detailed.
-    SimConfig sampledConfig = job.config;
-    auto timeRun = [&](const SimConfig &config) {
-        const auto start = std::chrono::steady_clock::now();
-        const SimResult result = runProgram(*job.program, config);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        return std::make_pair(result, elapsed.count());
-    };
-    const auto [sampledResult, sampledSeconds] = timeRun(sampledConfig);
-
-    // Run A: the same F+D span entirely in the detailed core.
-    SimConfig detailedConfig = job.config;
-    detailedConfig.ffwdInstructions = 0;
-    detailedConfig.maxInstructions = ffwd_span + detail_span;
-    detailedConfig.maxCycles = detailedConfig.maxInstructions * 200;
-    detailedConfig.warmupInstructions = 0;
-    const auto [detailedResult, detailedSeconds] = timeRun(detailedConfig);
-
-    const double speedup =
-        sampledSeconds > 0.0 ? detailedSeconds / sampledSeconds : 0.0;
-    const auto kips = [](std::uint64_t instructions, double seconds) {
-        return seconds > 0.0
-                   ? static_cast<double>(instructions) / seconds / 1000.0
-                   : 0.0;
-    };
-
-    char buffer[1024];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "{\n"
-        "  \"benchmark\": \"ffwd_throughput\",\n"
-        "  \"build_type\": \"%s\",\n"
-        "  \"native_arch\": %s,\n"
-        "  \"workload\": \"%s\",\n"
-        "  \"config\": \"%s\",\n"
-        "  \"ffwd_instructions\": %llu,\n"
-        "  \"detail_instructions\": %llu,\n"
-        "  \"detailed\": {\"wall_seconds\": %.6f, \"kips\": %.1f},\n"
-        "  \"ffwd\": {\"wall_seconds\": %.6f, \"effective_kips\": %.1f},\n"
-        "  \"speedup\": %.2f\n"
-        "}\n",
-        buildinfo::kBuildType, buildinfo::kNativeArch ? "true" : "false",
-        job.workload.c_str(), job.config.label().c_str(),
-        static_cast<unsigned long long>(ffwd_span),
-        static_cast<unsigned long long>(detail_span),
-        detailedSeconds, kips(detailedResult.instructions, detailedSeconds),
-        sampledSeconds, kips(ffwd_span + sampledResult.instructions,
-                             sampledSeconds),
-        speedup);
-    out << buffer;
-
-    std::fprintf(stderr,
-                 "[dgrun] ffwd-bench: %s/%s detailed %llu insts in %.2fs "
-                 "vs ffwd %llu + detailed %llu in %.2fs -> %.2fx; wrote "
-                 "%s\n",
-                 job.workload.c_str(), job.config.label().c_str(),
-                 static_cast<unsigned long long>(ffwd_span + detail_span),
-                 detailedSeconds,
-                 static_cast<unsigned long long>(ffwd_span),
-                 static_cast<unsigned long long>(detail_span),
-                 sampledSeconds, speedup, options.ffwdBenchOutPath.c_str());
-    if (speedup < 10.0)
-        std::fprintf(stderr,
-                     "[dgrun] ffwd-bench WARNING: speedup %.2fx is below "
-                     "the 10x target (short spans or debug builds blunt "
-                     "it)\n",
-                     speedup);
-    return 0;
-}
-
 /** --validate-trace: parse + structurally validate an O3PipeView file. */
 int
 runValidateTrace(const std::string &path)
@@ -1571,22 +1006,16 @@ runValidateTrace(const std::string &path)
 
 /**
  * RAII around the telemetry lifetime in the parent process: enable on
- * entry when --telemetry/--metrics ask for it, merge the per-process
- * event part files and write the final metrics snapshot on any exit
- * path. Forked workers never run this destructor — they _exit — so
- * the merge happens exactly once, in the coordinator.
+ * entry when --telemetry asks for it, merge the per-process event part
+ * files on any exit path. Forked workers never run this destructor —
+ * they _exit — so the merge happens exactly once, in the coordinator.
  */
 struct TelemetrySession
 {
     explicit TelemetrySession(const Options &options)
     {
-        if (options.telemetryPath.empty() && options.metricsPath.empty())
-            return;
-        telemetry::TelemetryConfig config;
-        config.tracePath = options.telemetryPath;
-        config.metricsPath = options.metricsPath;
-        config.metricsPeriodSec = options.metricsPeriodSec;
-        telemetry::enable(config);
+        if (!options.telemetryPath.empty())
+            telemetry::enable(options.telemetryPath);
     }
 
     ~TelemetrySession()
@@ -1648,19 +1077,11 @@ main(int argc, char **argv)
     if (!options.fuzzReplayPath.empty())
         return runFuzzReplay(options);
     TelemetrySession telemetrySession(options);
-    if (options.ffwdBench)
-        return runFfwdBench(options);
-    if (options.skipBench)
-        return runSkipBench(options);
-    if (options.perf)
-        return runPerfMode(options);
     try {
         if (options.listJobs)
             return runListJobs(options);
         if (!options.campaignInitPath.empty())
             return runCampaignInit(options);
-        if (options.campaignBench)
-            return runCampaignBench(options);
         if (options.merge)
             return runMergeMode(options);
         if (!options.campaignPath.empty())

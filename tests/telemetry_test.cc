@@ -1,12 +1,13 @@
 /**
  * @file
  * Fleet-telemetry tests: every emitted artifact (trace-event part
- * files, the merged trace document, Prometheus snapshots) round-trips
- * through the strict runner JSON parser; a real forked multi-worker
- * campaign produces one merged trace with a track per worker pid; a
- * killed worker's truncated part-file tail is tolerated exactly like a
- * truncated journal line; and results/journals stay byte-identical
- * with telemetry on — observability must never perturb the data.
+ * files, the merged trace document) round-trips through the strict
+ * runner JSON parser; a real forked multi-worker campaign produces one
+ * merged trace with a track per worker pid; a killed worker's
+ * truncated part-file tail is tolerated exactly like a truncated
+ * journal line; and results stay byte-identical, journals
+ * record-identical, with telemetry on — observability must never
+ * perturb the data.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +28,6 @@
 #include "runner/json.hh"
 #include "runner/result_sink.hh"
 #include "runner/sweep.hh"
-#include "telemetry/metrics.hh"
 #include "telemetry/report.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace.hh"
@@ -43,6 +43,7 @@ using runner::CoordinatorOptions;
 using runner::ExperimentRunner;
 using runner::Job;
 using runner::JobOutcome;
+using runner::JournalMap;
 using runner::JournalWriter;
 using runner::JsonParseError;
 using runner::JsonParser;
@@ -52,23 +53,16 @@ using runner::RunnerOptions;
 using runner::claimsPath;
 using runner::jobKey;
 using runner::jsonMember;
+using runner::loadJournal;
 using runner::manifestSpec;
 using runner::runCampaign;
+using runner::toJsonLine;
 using runner::workerJournalPath;
 
 std::string
 tempPath(const std::string &name)
 {
     return testing::TempDir() + name;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
 }
 
 /** Identity-keyed mock (the coordinator_test idiom). */
@@ -149,9 +143,7 @@ class Telemetry : public ::testing::Test
     {
         tracePath_ = tempPath(name);
         std::remove(tracePath_.c_str());
-        telemetry::TelemetryConfig config;
-        config.tracePath = tracePath_;
-        telemetry::enable(config);
+        telemetry::enable(tracePath_);
     }
 
     std::string tracePath_;
@@ -182,43 +174,6 @@ TEST(TelemetryJson, ParsesArraysAndMultilineDocuments)
     EXPECT_THROW(JsonParser("[1,]").parse(), JsonParseError);
     EXPECT_THROW(JsonParser("[1 2]").parse(), JsonParseError);
     EXPECT_THROW(JsonParser("[").parse(), JsonParseError);
-}
-
-// --- Prometheus rendering ----------------------------------------------
-
-TEST(TelemetryMetrics, RendersPrometheusTextWithOneTypeLinePerFamily)
-{
-    telemetry::MetricsRegistry registry;
-    registry.add("dgsim_jobs_done_total", 1.0);
-    registry.add("dgsim_jobs_done_total", 2.0);
-    registry.add("dgsim_shard_outstanding_total{shard=\"0\"}", 4.0);
-    registry.add("dgsim_shard_outstanding_total{shard=\"1\"}", 5.0);
-    registry.set("dgsim_kips", 123.5);
-
-    EXPECT_DOUBLE_EQ(registry.value("dgsim_jobs_done_total"), 3.0);
-    EXPECT_DOUBLE_EQ(registry.value("dgsim_kips"), 123.5);
-    EXPECT_DOUBLE_EQ(registry.value("absent"), 0.0);
-
-    const std::string text = registry.renderPrometheus();
-    EXPECT_NE(text.find("# TYPE dgsim_jobs_done_total counter\n"
-                        "dgsim_jobs_done_total 3\n"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE dgsim_kips gauge\ndgsim_kips 123.5\n"),
-              std::string::npos);
-    // One TYPE line covers both labeled series of the family.
-    EXPECT_NE(
-        text.find("# TYPE dgsim_shard_outstanding_total counter\n"
-                  "dgsim_shard_outstanding_total{shard=\"0\"} 4\n"
-                  "dgsim_shard_outstanding_total{shard=\"1\"} 5\n"),
-        std::string::npos);
-}
-
-TEST(TelemetryMetrics, SnapshotFileIsReplacedAtomically)
-{
-    const std::string path = tempPath("telemetry_snapshot.prom");
-    ASSERT_TRUE(telemetry::writeFileAtomic(path, "a 1\n"));
-    ASSERT_TRUE(telemetry::writeFileAtomic(path, "a 2\n"));
-    EXPECT_EQ(readFile(path), "a 2\n");
 }
 
 // --- Span round-trip through the strict parser -------------------------
@@ -440,7 +395,7 @@ TEST_F(Telemetry, KilledWorkerLeavesALoadableTrace)
 
 // --- Telemetry must never perturb results ------------------------------
 
-TEST_F(Telemetry, ResultsAndJournalsAreByteIdenticalWithTelemetryOn)
+TEST_F(Telemetry, ResultsByteIdenticalAndJournalRecordsEqualWithTelemetryOn)
 {
     CampaignManifest manifest;
     manifest.shards = 1;
@@ -466,7 +421,20 @@ TEST_F(Telemetry, ResultsAndJournalsAreByteIdenticalWithTelemetryOn)
     const std::vector<JobOutcome> on = journalRun(onJournal);
 
     EXPECT_EQ(jsonlOf(off), jsonlOf(on));
-    EXPECT_EQ(readFile(offJournal), readFile(onJournal));
+
+    // Journal lines land in completion order, which two runner threads
+    // decide; the records themselves must match key for key.
+    const JournalMap offRecords = loadJournal(offJournal);
+    const JournalMap onRecords = loadJournal(onJournal);
+    ASSERT_EQ(offRecords.size(), jobs.size());
+    ASSERT_EQ(onRecords.size(), jobs.size());
+    for (const auto &[key, record] : offRecords) {
+        const auto it = onRecords.find(key);
+        ASSERT_NE(it, onRecords.end()) << key;
+        EXPECT_EQ(toJsonLine(record, /*host_metrics=*/true),
+                  toJsonLine(it->second, /*host_metrics=*/true))
+            << key;
+    }
 }
 
 // --- The --report aggregation ------------------------------------------
