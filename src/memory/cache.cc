@@ -68,6 +68,60 @@ linePool()
 }
 
 /**
+ * A maximal run of untouched sets [first, end) as one digest mixed it:
+ * the hash coming in and the hash going out.
+ */
+struct EmptyStretch
+{
+    unsigned first;
+    unsigned end;
+    std::uint64_t hashIn;
+    std::uint64_t hashOut;
+};
+
+/**
+ * Thread-local record of the empty stretches of the last digest taken
+ * of each cache geometry. Mixing a stretch is a pure function of its
+ * first set, its end set, the associativity and the hash coming in, so
+ * a stretch of the next digest that matches a recorded one on all four
+ * takes the recorded hash out bit-exactly. No cache content is kept:
+ * the bound is two stretch lists per geometry, each at most one entry
+ * per two sets, rounded up.
+ */
+class StretchMemo
+{
+  public:
+    struct Geometry
+    {
+        unsigned sets = 0;
+        unsigned assoc = 0;
+        std::vector<EmptyStretch> previous; ///< Of the last digest.
+        std::vector<EmptyStretch> current;  ///< Being recorded.
+    };
+
+    Geometry &geometryFor(unsigned sets, unsigned assoc)
+    {
+        for (Geometry &geometry : geometries_)
+            if (geometry.sets == sets && geometry.assoc == assoc)
+                return geometry;
+        return geometries_.emplace_back(Geometry{sets, assoc, {}, {}});
+    }
+
+    /// Ways of untouched sets mixed one by one (reused stretches add 0).
+    std::uint64_t emptyWaysMixed = 0;
+
+  private:
+    std::vector<Geometry> geometries_; ///< One per cache geometry digested.
+};
+
+StretchMemo &
+stretchMemo()
+{
+    thread_local StretchMemo memo;
+    return memo;
+}
+
+/**
  * mix(set, way, 0, 0, 0) — the record of an invalid way — in two
  * multiplies: xor with zero is the identity, so the last four steps
  * are one multiply by kPrime^4.
@@ -289,12 +343,38 @@ Cache::hashState(std::uint64_t &hash) const
     // stamp; sorting the set's stamps once turns the quadratic
     // count-smaller loop into a binary search per way with the same
     // result (ties included).
+    //
+    // Untouched sets are mixed a maximal stretch at a time, and a
+    // stretch the previous digest of this geometry mixed from the same
+    // hash is taken from the thread's StretchMemo instead.
+    StretchMemo &memo = stretchMemo();
+    StretchMemo::Geometry &geometry =
+        memo.geometryFor(num_sets_, config_.assoc);
+    const std::vector<EmptyStretch> &previous = geometry.previous;
+    geometry.current.clear();
+    auto recorded = previous.cbegin();
     std::vector<std::uint64_t> stamps;
     stamps.reserve(config_.assoc);
-    for (unsigned set = 0; set < num_sets_; ++set) {
+    for (unsigned set = 0; set < num_sets_;) {
         if (!touched_[set]) {
-            for (unsigned way = 0; way < config_.assoc; ++way)
-                mixEmptyWay(hash, set, way);
+            const auto end = static_cast<unsigned>(
+                std::find(touched_.begin() + set, touched_.end(), 1) -
+                touched_.begin());
+            const std::uint64_t hash_in = hash;
+            while (recorded != previous.cend() && recorded->first < set)
+                ++recorded;
+            if (recorded != previous.cend() && recorded->first == set &&
+                recorded->end == end && recorded->hashIn == hash_in) {
+                hash = recorded->hashOut;
+            } else {
+                for (unsigned empty = set; empty < end; ++empty)
+                    for (unsigned way = 0; way < config_.assoc; ++way)
+                        mixEmptyWay(hash, empty, way);
+                memo.emptyWaysMixed +=
+                    std::uint64_t{end - set} * config_.assoc;
+            }
+            geometry.current.push_back(EmptyStretch{set, end, hash_in, hash});
+            set = end;
             continue;
         }
         const CacheLine *base = setBase(set);
@@ -320,7 +400,15 @@ Cache::hashState(std::uint64_t &hash) const
             }
             fnv::mix(hash, rank);
         }
+        ++set;
     }
+    std::swap(geometry.previous, geometry.current);
+}
+
+std::uint64_t
+Cache::digestEmptyWaysMixed()
+{
+    return stretchMemo().emptyWaysMixed;
 }
 
 } // namespace dgsim

@@ -107,6 +107,13 @@ class Cache
     /** Mix the full tag-array contents into @p hash (security digest). */
     void hashState(std::uint64_t &hash) const;
 
+    /**
+     * Ways of untouched sets this thread's hashState() calls have mixed
+     * one by one so far; stretches reused from the previous digest of
+     * the same geometry add nothing (for tests).
+     */
+    static std::uint64_t digestEmptyWaysMixed();
+
     /** Export the tag array in canonical (LRU-ordered) form. */
     CacheWarmState exportWarmState() const;
 

@@ -11,7 +11,7 @@
 #ifndef DGSIM_MEMORY_MSHR_HH
 #define DGSIM_MEMORY_MSHR_HH
 
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -22,7 +22,10 @@ namespace dgsim
 class MshrFile
 {
   public:
-    explicit MshrFile(unsigned capacity) : capacity_(capacity) {}
+    explicit MshrFile(unsigned capacity) : capacity_(capacity)
+    {
+        entries_.reserve(capacity);
+    }
 
     /**
      * Look for an in-flight miss on @p line_addr.
@@ -31,13 +34,17 @@ class MshrFile
     Cycle
     findInFlight(Addr line_addr) const
     {
-        auto it = entries_.find(line_addr);
-        return it == entries_.end() ? kInvalidCycle : it->second;
+        for (const Entry &entry : entries_)
+            if (entry.line == line_addr)
+                return entry.fillAt;
+        return kInvalidCycle;
     }
 
     /**
      * Try to allocate an entry for @p line_addr completing at @p fill_at.
      * Entries whose fills completed before @p now are reclaimed first.
+     * A line already outstanding keeps its one entry and takes the new
+     * completion cycle.
      * @return true on success, false if the file is full.
      */
     bool
@@ -46,7 +53,13 @@ class MshrFile
         reclaim(now);
         if (entries_.size() >= capacity_)
             return false;
-        entries_[line_addr] = fill_at;
+        for (Entry &entry : entries_) {
+            if (entry.line == line_addr) {
+                entry.fillAt = fill_at;
+                return true;
+            }
+        }
+        entries_.push_back(Entry{line_addr, fill_at});
         return true;
     }
 
@@ -79,9 +92,9 @@ class MshrFile
     earliestCompletion(Cycle now) const
     {
         Cycle earliest = kInvalidCycle;
-        for (const auto &entry : entries_) {
-            if (entry.second > now && entry.second < earliest)
-                earliest = entry.second;
+        for (const Entry &entry : entries_) {
+            if (entry.fillAt > now && entry.fillAt < earliest)
+                earliest = entry.fillAt;
         }
         return earliest;
     }
@@ -92,19 +105,23 @@ class MshrFile
     void clear() { entries_.clear(); }
 
   private:
+    struct Entry
+    {
+        Addr line;
+        Cycle fillAt;
+    };
+
     void
     reclaim(Cycle now)
     {
-        for (auto it = entries_.begin(); it != entries_.end();) {
-            if (it->second <= now)
-                it = entries_.erase(it);
-            else
-                ++it;
-        }
+        std::erase_if(entries_, [now](const Entry &entry) {
+            return entry.fillAt <= now;
+        });
     }
 
     unsigned capacity_;
-    std::unordered_map<Addr, Cycle> entries_;
+    /// At most capacity_ entries, one per line, in no particular order.
+    std::vector<Entry> entries_;
 };
 
 } // namespace dgsim

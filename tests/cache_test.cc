@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "memory/cache.hh"
@@ -148,13 +151,12 @@ TEST(CacheTest, HashSeesRecencyOrder)
 /**
  * The security digest written out in full: word-wise FNV-1a over
  * (set, way, valid, tag, rank) for every way, rank being the number of
- * valid lines in the set with a strictly smaller LRU stamp. Independent
- * of Cache's own code on purpose.
+ * valid lines in the set with a strictly smaller LRU stamp, chained
+ * from @p hash. Independent of Cache's own code on purpose.
  */
 std::uint64_t
-referenceDigest(const Cache &cache)
+referenceDigest(const Cache &cache, std::uint64_t hash = 0xcbf29ce484222325ULL)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
     const auto mix = [&hash](std::uint64_t value) {
         hash ^= value;
         hash *= 0x100000001b3ULL;
@@ -376,6 +378,241 @@ TEST(CacheReuseTest, DestroyOnAnotherThread)
     expectFresh(rebuilt);
 }
 
+// --- Empty-stretch reuse in the digest ----------------------------------
+//
+// hashState() takes a run of untouched sets from the previous digest of
+// the same geometry on this thread when the run's first set, end set and
+// incoming hash all match. Every digest below is checked against
+// referenceDigest(), and Cache::digestEmptyWaysMixed() shows how much
+// was mixed afresh.
+
+/** 4 sets x 4 ways: the set count of tinyCacheConfig(), twice the ways. */
+CacheConfig
+tinyFourWayConfig()
+{
+    return CacheConfig{"test4", 1024, 4, 64, 3, 4};
+}
+
+std::vector<CacheConfig>
+allGeometries()
+{
+    std::vector<CacheConfig> geometries = {tinyCacheConfig(),
+                                           tinyFourWayConfig()};
+    for (const CacheConfig &geometry : table1Geometries())
+        geometries.push_back(geometry);
+    return geometries;
+}
+
+/** Install @p ways lines into @p set, tags offset by @p salt sets. */
+void
+fillSet(Cache &cache, unsigned set, unsigned ways, Addr salt = 0)
+{
+    const Addr sets = cache.config().numSets();
+    for (unsigned way = 0; way < ways; ++way)
+        cache.install(set + (salt + way) * sets, 0, false);
+}
+
+/** Empty ways mixed afresh by one digest of @p cache from @p hash. */
+std::uint64_t
+emptyWaysMixedBy(const Cache &cache, std::uint64_t &hash)
+{
+    const std::uint64_t before = Cache::digestEmptyWaysMixed();
+    cache.hashState(hash);
+    return Cache::digestEmptyWaysMixed() - before;
+}
+
+/**
+ * Ways of the sets of @p cache from @p first on that hold no valid line:
+ * its untouched sets, as long as nothing was invalidated.
+ */
+std::uint64_t
+emptyWaysFrom(const Cache &cache, unsigned first)
+{
+    const unsigned assoc = cache.config().assoc;
+    const std::vector<CacheLine> &lines = cache.lines();
+    std::uint64_t ways = 0;
+    for (unsigned set = first; set < cache.config().numSets(); ++set) {
+        const auto base = lines.begin() + static_cast<long>(set) * assoc;
+        if (std::none_of(base, base + assoc,
+                         [](const CacheLine &line) { return line.valid; }))
+            ways += assoc;
+    }
+    return ways;
+}
+
+TEST(CacheDigestReuseTest, RepeatedDigestMixesNoEmptyWay)
+{
+    for (const CacheConfig &geometry : allGeometries()) {
+        StatRegistry stats;
+        Cache cache(geometry, stats);
+        fillSet(cache, geometry.numSets() / 2, 1);
+        std::uint64_t first = fnv::kOffset;
+        EXPECT_EQ(emptyWaysMixedBy(cache, first), emptyWaysFrom(cache, 0))
+            << geometry.name;
+        std::uint64_t again = fnv::kOffset;
+        EXPECT_EQ(emptyWaysMixedBy(cache, again), 0u) << geometry.name;
+        EXPECT_EQ(first, referenceDigest(cache)) << geometry.name;
+        EXPECT_EQ(again, first) << geometry.name;
+    }
+}
+
+TEST(CacheDigestReuseTest, OneDifferingSetRemixesFromThatSetOn)
+{
+    for (const CacheConfig &geometry : allGeometries()) {
+        const unsigned sets = geometry.numSets();
+        for (unsigned k : {0u, sets / 2, sets - 1}) {
+            // Same set count and assoc; both hold set k, with one tag
+            // apart, plus the same lines a quarter and three quarters in.
+            StatRegistry stats;
+            Cache a(geometry, stats);
+            Cache b(geometry, stats);
+            for (Cache *cache : {&a, &b}) {
+                fillSet(*cache, sets / 4, 1);
+                fillSet(*cache, 3 * sets / 4, geometry.assoc);
+            }
+            fillSet(a, k, 1);
+            fillSet(b, k, 1, /*salt=*/1);
+
+            std::uint64_t ha = fnv::kOffset;
+            std::uint64_t hb = fnv::kOffset;
+            emptyWaysMixedBy(a, ha);
+            EXPECT_EQ(emptyWaysMixedBy(b, hb), emptyWaysFrom(b, k))
+                << geometry.name << " set " << k
+                << ": stretches before set k are reused, none after it";
+            EXPECT_EQ(ha, referenceDigest(a)) << geometry.name << " " << k;
+            EXPECT_EQ(hb, referenceDigest(b)) << geometry.name << " " << k;
+            EXPECT_NE(ha, hb);
+
+            // Set k touched in one cache only: the stretch around it
+            // shares its first set and incoming hash but not its end.
+            Cache c(geometry, stats);
+            fillSet(c, sets / 4, 1);
+            fillSet(c, 3 * sets / 4, geometry.assoc);
+            std::uint64_t hc = fnv::kOffset;
+            emptyWaysMixedBy(c, hc);
+            EXPECT_EQ(hc, referenceDigest(c)) << geometry.name << " " << k;
+            hb = fnv::kOffset;
+            b.hashState(hb);
+            EXPECT_EQ(hb, referenceDigest(b)) << geometry.name << " " << k;
+            ha = fnv::kOffset;
+            a.hashState(ha);
+            EXPECT_EQ(ha, referenceDigest(a)) << geometry.name << " " << k;
+        }
+    }
+}
+
+TEST(CacheDigestReuseTest, SameLowerLevelsUnderADifferentL1)
+{
+    // The L2 and L3 hold the same lines in both chains, so their
+    // stretches have the same bounds; only the hash coming in differs.
+    const SimConfig config;
+    StatRegistry stats;
+    Cache l1a(config.l1d, stats);
+    Cache l1b(config.l1d, stats);
+    Cache l2(config.l2, stats);
+    Cache l3(config.l3, stats);
+    fillSet(l1a, 0, 1);
+    fillSet(l1b, 1, 1);
+    for (unsigned set = 5; set < config.l2.numSets(); set += 7)
+        fillSet(l2, set, 1 + set % config.l2.assoc);
+    for (unsigned set = 3; set < config.l3.numSets(); set += 11)
+        fillSet(l3, set, 1 + set % config.l3.assoc);
+    const auto chain = [&](const Cache &l1, std::uint64_t &hash) {
+        const std::uint64_t before = Cache::digestEmptyWaysMixed();
+        l1.hashState(hash);
+        l2.hashState(hash);
+        l3.hashState(hash);
+        return Cache::digestEmptyWaysMixed() - before;
+    };
+    const auto reference = [&](const Cache &l1) {
+        return referenceDigest(l3, referenceDigest(l2, referenceDigest(l1)));
+    };
+    std::uint64_t ha = fnv::kOffset;
+    chain(l1a, ha);
+    std::uint64_t hb = fnv::kOffset;
+    const std::uint64_t mixed = chain(l1b, hb);
+    EXPECT_EQ(ha, reference(l1a));
+    EXPECT_EQ(hb, reference(l1b));
+    EXPECT_NE(ha, hb);
+    EXPECT_EQ(mixed, emptyWaysFrom(l1b, 0) + emptyWaysFrom(l2, 0) +
+                         emptyWaysFrom(l3, 0))
+        << "no L2 or L3 stretch may be reused from another entry hash";
+    std::uint64_t again = fnv::kOffset;
+    EXPECT_EQ(chain(l1b, again), 0u);
+    EXPECT_EQ(again, hb);
+}
+
+TEST(CacheDigestReuseTest, GeometriesInterleavedOnOneThread)
+{
+    // One empty and one used cache per geometry, digested empties
+    // first: the two tiny geometries share a set count and differ in
+    // assoc, so their empty digests meet the same stretch bounds and
+    // entry hash back to back. The empties are filled after round 1.
+    StatRegistry stats;
+    std::vector<std::unique_ptr<Cache>> empties;
+    std::vector<std::unique_ptr<Cache>> used;
+    for (const CacheConfig &geometry : allGeometries()) {
+        empties.push_back(std::make_unique<Cache>(geometry, stats));
+        used.push_back(std::make_unique<Cache>(geometry, stats));
+        randomTraffic(*used.back(), used.size(), 1500);
+    }
+    for (int round = 0; round < 3; ++round) {
+        for (const auto *group : {&empties, &used}) {
+            for (const auto &cache : *group) {
+                EXPECT_EQ(digestOf(*cache), referenceDigest(*cache))
+                    << cache->config().name << " round " << round;
+            }
+        }
+        if (round == 1) {
+            for (std::size_t i = 0; i < empties.size(); ++i)
+                randomTraffic(*empties[i], 100 + i, 200);
+        }
+    }
+}
+
+TEST(CacheDigestReuseTest, ConcurrentThreadsKeepTheirOwnRecords)
+{
+    const SimConfig config;
+    constexpr int kRounds = 4;
+    struct Outcome
+    {
+        std::vector<std::uint64_t> digests;
+        std::uint64_t reference = 0;
+        std::uint64_t repeatsMixed = 0;
+    };
+    const auto worker = [&](std::uint64_t seed, Outcome &out) {
+        StatRegistry stats;
+        Cache l2(config.l2, stats);
+        Cache l3(config.l3, stats);
+        randomTraffic(l2, seed, 2000);
+        randomTraffic(l3, seed + 1, 2000);
+        for (int round = 0; round < kRounds; ++round) {
+            const std::uint64_t before = Cache::digestEmptyWaysMixed();
+            std::uint64_t hash = fnv::kOffset;
+            l2.hashState(hash);
+            l3.hashState(hash);
+            if (round > 0)
+                out.repeatsMixed += Cache::digestEmptyWaysMixed() - before;
+            out.digests.push_back(hash);
+        }
+        out.reference = referenceDigest(l3, referenceDigest(l2));
+    };
+    Outcome a;
+    Outcome b;
+    std::thread ta(worker, 61, std::ref(a));
+    std::thread tb(worker, 71, std::ref(b));
+    ta.join();
+    tb.join();
+    for (const Outcome *out : {&a, &b}) {
+        ASSERT_EQ(out->digests.size(), static_cast<std::size_t>(kRounds));
+        for (std::uint64_t digest : out->digests)
+            EXPECT_EQ(digest, out->reference);
+        EXPECT_EQ(out->repeatsMixed, 0u)
+            << "each thread reuses its own previous digest";
+    }
+    EXPECT_NE(a.reference, b.reference);
+}
+
 // --- MSHR --------------------------------------------------------------
 
 TEST(MshrTest, CapacityAndReclaim)
@@ -396,6 +633,42 @@ TEST(MshrTest, FindInFlight)
     mshrs.allocate(7, 0, 55);
     EXPECT_EQ(mshrs.findInFlight(7), 55u);
     EXPECT_EQ(mshrs.findInFlight(8), kInvalidCycle);
+}
+
+TEST(MshrTest, ReallocatingAnOutstandingLineKeepsOneEntry)
+{
+    MshrFile mshrs(2);
+    EXPECT_TRUE(mshrs.allocate(7, 0, 50));
+    EXPECT_TRUE(mshrs.allocate(7, 10, 80));
+    EXPECT_EQ(mshrs.findInFlight(7), 80u) << "the later fill cycle wins";
+    EXPECT_EQ(mshrs.outstanding(10), 1u);
+    EXPECT_TRUE(mshrs.allocate(8, 10, 60));
+    EXPECT_TRUE(mshrs.full(10));
+    EXPECT_FALSE(mshrs.allocate(7, 10, 90))
+        << "a full file refuses even a line it already holds";
+    EXPECT_EQ(mshrs.findInFlight(7), 80u);
+    // The overwritten cycle, not the first one, decides reclaim.
+    EXPECT_EQ(mshrs.outstanding(60), 1u);
+    EXPECT_EQ(mshrs.outstanding(80), 0u);
+}
+
+TEST(MshrTest, EarliestCompletionAfterPartialReclaim)
+{
+    MshrFile mshrs(4);
+    mshrs.allocate(1, 0, 30);
+    mshrs.allocate(2, 0, 10);
+    mshrs.allocate(3, 0, 20);
+    mshrs.allocate(4, 0, 40);
+    EXPECT_EQ(mshrs.earliestCompletion(0), 10u);
+    EXPECT_EQ(mshrs.outstanding(20), 2u) << "lines 2 and 3 reclaimed";
+    EXPECT_EQ(mshrs.findInFlight(2), kInvalidCycle);
+    EXPECT_EQ(mshrs.findInFlight(3), kInvalidCycle);
+    EXPECT_EQ(mshrs.earliestCompletion(20), 30u);
+    EXPECT_EQ(mshrs.earliestCompletion(30), 40u)
+        << "an entry completing at now is no longer in the future";
+    EXPECT_EQ(mshrs.earliestCompletion(40), kInvalidCycle);
+    EXPECT_TRUE(mshrs.allocate(5, 20, 25));
+    EXPECT_EQ(mshrs.earliestCompletion(20), 25u);
 }
 
 // --- Hierarchy -----------------------------------------------------------
