@@ -5,7 +5,7 @@
  * Loads, and the resulting reduction of the mean slowdown (paper: 42%,
  * 48% and 30% respectively).
  *
- * Usage: fig1_summary [instructions-per-run]
+ * Usage: fig1_summary [instructions-per-run] [--threads N] [--retries N]
  */
 
 #include "bench_common.hh"
@@ -16,12 +16,13 @@ main(int argc, char **argv)
     using namespace dgsim;
     using namespace dgsim::bench;
 
-    const std::uint64_t instructions = instructionBudget(argc, argv);
+    const BenchArgs args = parseBenchArgs(argc, argv);
     std::printf("=== Figure 1: headline summary, %llu instructions/run "
                 "===\n\n",
-                static_cast<unsigned long long>(instructions));
+                static_cast<unsigned long long>(args.instructions));
 
-    const std::vector<WorkloadRow> rows = runSuiteMatrix(instructions);
+    const std::vector<WorkloadRow> rows =
+        runSuiteMatrix(args.instructions, args.threads, args.retries);
 
     struct SchemePair
     {

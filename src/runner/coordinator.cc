@@ -11,7 +11,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
 #include <thread>
@@ -20,6 +19,7 @@
 
 #include "common/log.hh"
 #include "common/signals.hh"
+#include "runner/append_log.hh"
 #include "runner/experiment_runner.hh"
 #include "runner/json.hh"
 #include "telemetry/telemetry.hh"
@@ -37,67 +37,15 @@ struct Claim
     unsigned worker = 0;
 };
 
-/**
- * Append-only claims writer. Each claim is one short JSON line written
- * with a single O_APPEND write(2): atomic for writes below PIPE_BUF
- * (claims are ~100 bytes), so concurrent workers never interleave.
- */
-class ClaimsAppender
-{
-  public:
-    explicit ClaimsAppender(const std::string &path)
-        : fd_(::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644))
-    {
-        if (fd_ < 0)
-            DGSIM_FATAL("cannot open claims file '" + path + "': " +
-                        std::strerror(errno));
-    }
-
-    ~ClaimsAppender()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
-    void
-    append(const std::string &key, unsigned shard, unsigned worker)
-    {
-        const std::string line = "{\"key\":\"" + jsonEscape(key) +
-                                 "\",\"shard\":" + std::to_string(shard) +
-                                 ",\"worker\":" + std::to_string(worker) +
-                                 "}\n";
-        ssize_t written = 0;
-        while (written < static_cast<ssize_t>(line.size())) {
-            const ssize_t n = ::write(fd_, line.data() + written,
-                                      line.size() - written);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                DGSIM_FATAL("claims append failed: " +
-                            std::string(std::strerror(errno)));
-            }
-            written += n;
-        }
-    }
-
-  private:
-    int fd_;
-};
-
-/** Parse the claims file; tolerates a truncated final line. */
+/** Parse the claims file. Claims are advisory and have several live
+ * writers, so a malformed line anywhere is skipped, never fatal. */
 std::vector<Claim>
 loadClaims(const std::string &path)
 {
-    std::ifstream in(path);
     std::vector<Claim> claims;
-    if (!in)
-        return claims;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        try {
-            const JsonValue record = JsonParser(line).parse();
+    loadAppendLog(
+        path,
+        [&claims](const JsonValue &record) {
             Claim claim;
             claim.key = jsonMember(record, "key").str;
             claim.shard = static_cast<unsigned>(
@@ -105,11 +53,8 @@ loadClaims(const std::string &path)
             claim.worker = static_cast<unsigned>(
                 std::stoul(jsonMember(record, "worker").number));
             claims.push_back(std::move(claim));
-        } catch (const JsonParseError &) {
-            // A claim cut short by a kill: ignore — claims are advisory.
-            continue;
-        }
-    }
+        },
+        /*skipMalformed=*/true);
     return claims;
 }
 
@@ -141,6 +86,9 @@ struct WorkerContext
     unsigned worker = 0;
     unsigned workers = 1;
     const CoordinatorOptions *options = nullptr;
+    /** This pass's claims log, opened by the parent and inherited
+        across fork(): its one open can never race a live appender. */
+    AppendLog *claims = nullptr;
 
     std::vector<Job> jobs;           ///< Full expansion, original indices.
     std::vector<std::string> keys;   ///< keys[i] = jobKey(jobs[i]).
@@ -168,8 +116,7 @@ workerRunnerOptions(const WorkerContext &ctx)
  * manifest's retry budget, journal the final outcome.
  */
 void
-runClaimedJob(const WorkerContext &ctx, std::size_t i,
-              ClaimsAppender &claims, JournalWriter &journal,
+runClaimedJob(const WorkerContext &ctx, std::size_t i, JournalWriter &journal,
               const RunnerOptions &ropts, std::size_t &completed)
 {
     // A "steal" span wraps jobs this worker takes from another shard;
@@ -181,7 +128,13 @@ runClaimedJob(const WorkerContext &ctx, std::size_t i,
         steal.arg("shard", std::uint64_t{ctx.shards[i]});
     }
 
-    claims.append(ctx.keys[i], ctx.shards[i], ctx.worker);
+    const int err = ctx.claims->append(
+        "{\"key\":\"" + jsonEscape(ctx.keys[i]) + "\",\"shard\":" +
+        std::to_string(ctx.shards[i]) + ",\"worker\":" +
+        std::to_string(ctx.worker) + "}");
+    if (err != 0)
+        DGSIM_FATAL("claims append failed: " +
+                    std::string(std::strerror(err)));
 
     // Death injection lands after the claim and before the journal
     // record — the worst possible moment, exactly what a real SIGKILL
@@ -235,7 +188,6 @@ workerMain(WorkerContext ctx)
 
     const std::vector<std::string> journalPaths =
         allWorkerJournals(ctx.manifestPath, ctx.workers);
-    ClaimsAppender claims(claimsPath(ctx.manifestPath));
     JournalWriter journal(workerJournalPath(ctx.manifestPath, ctx.worker),
                           /*host_metrics=*/true, ctx.options->journalSync);
     const RunnerOptions ropts = workerRunnerOptions(ctx);
@@ -264,7 +216,7 @@ workerMain(WorkerContext ctx)
             }
         if (claimedElsewhere)
             continue;
-        runClaimedJob(ctx, i, claims, journal, ropts, completed);
+        runClaimedJob(ctx, i, journal, ropts, completed);
     }
 
     // Phase 2: steal. Refresh the global picture, find the slowest
@@ -292,7 +244,7 @@ workerMain(WorkerContext ctx)
         for (auto it = outstanding.begin(); it != outstanding.end(); ++it)
             if (it->second.size() > slowest->second.size())
                 slowest = it;
-        runClaimedJob(ctx, slowest->second.front(), claims, journal, ropts,
+        runClaimedJob(ctx, slowest->second.front(), journal, ropts,
                       completed);
     }
     return 0;
@@ -350,7 +302,8 @@ runCampaign(const std::string &manifestPath,
 
         // Rotate the claims file: claims only dedupe within one pass.
         // (A dead worker's stale claims must not block its jobs.)
-        ::unlink(claims.c_str());
+        AppendLog claimsLog(claims, AppendLog::Open::Truncate);
+        ctx.claims = &claimsLog;
 
         if (options.progress)
             std::fprintf(stderr,

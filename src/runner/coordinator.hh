@@ -9,11 +9,11 @@
  * unclaimed remains. All coordination flows through two append-only
  * artifacts:
  *
- *  - per-worker completion journals (the PR 4 format, one per worker
- *    process, merged by job identity afterwards), and
- *  - a shared claims file, one JSON line per execution attempt,
- *    appended with a single O_APPEND write(2) so concurrent claims
- *    never interleave.
+ *  - per-worker completion journals (one per worker process, merged
+ *    by job identity afterwards), and
+ *  - a shared claims file, one JSON line per execution attempt. The
+ *    coordinator opens it fresh for each pass and the forked workers
+ *    inherit that one AppendLog, so concurrent claims never interleave.
  *
  * Claims are advisory, not locks: a claim races with another worker's
  * claim at worst into a duplicate execution, which the identity-keyed

@@ -92,6 +92,15 @@ executeJobImpl(const RunnerOptions &options, const Job &job,
             outcome.result = options.execute(job);
             outcome.ok = true;
             outcome.error.clear();
+            // Warned here, not in the core, so leak-oracle probes stay
+            // quiet; once, because a sweep whose config systematically
+            // hits the limit would otherwise print one line per job.
+            if (outcome.result.hitMaxCycles)
+                DGSIM_WARN_ONCE(job.workload + ": cycle limit reached at " +
+                                std::to_string(outcome.result.cycles) +
+                                " cycles, " +
+                                std::to_string(outcome.result.instructions) +
+                                " instructions (warned once per process)");
             break;
         } catch (const TransientError &e) {
             // Host-side failure: retry with backoff until the attempt

@@ -4,7 +4,7 @@
  * experiment runner.
  *
  * As each job reaches a final outcome (success, deterministic error or
- * exhausted retries) one JSONL record is appended and flushed, in
+ * exhausted retries) one JSONL record is appended to an AppendLog, in
  * *completion* order — a kill loses at most the line being written.
  * Each record is the exact toJsonLine() serialization of the outcome
  * prefixed with two wrapper fields:
@@ -26,11 +26,10 @@
 #ifndef DGSIM_RUNNER_JOURNAL_HH
 #define DGSIM_RUNNER_JOURNAL_HH
 
-#include <fstream>
 #include <map>
-#include <mutex>
 #include <string>
 
+#include "runner/append_log.hh"
 #include "runner/sweep.hh"
 
 namespace dgsim::runner
@@ -47,42 +46,33 @@ using JournalMap = std::map<std::string, JobOutcome>;
  */
 std::string jobKey(const Job &job);
 
-/** Thread-safe append-only journal writer (one flushed line per job). */
+/** Thread-safe journal writer: one AppendLog record per job. */
 class JournalWriter
 {
   public:
     /**
-     * Open @p path for appending; fatal when unwritable. Journal lines
+     * Open @p path in @p mode (fatal when unwritable). Journal lines
      * carry host metrics iff @p host_metrics — they are restored on
      * resume for reporting, and never byte-compared across runs. With
-     * @p sync every record is additionally fsync'd: a flushed-but-
-     * unsynced record survives a process kill but not a power loss,
-     * and long campaigns may want the stronger guarantee.
+     * @p sync every record is also fsync'd (see AppendLog).
      */
     JournalWriter(const std::string &path, bool host_metrics = true,
-                  bool sync = false);
+                  bool sync = false,
+                  AppendLog::Open mode = AppendLog::Open::Append);
 
-    ~JournalWriter();
-
-    /** Append one completed outcome under @p key (thread-safe). */
+    /** Append one completed outcome under @p key (thread-safe); fatal
+     * when the write fails — a lost record would silently re-run. */
     void record(const std::string &key, const JobOutcome &outcome);
 
-    const std::string &path() const { return path_; }
-
   private:
-    std::string path_;
+    AppendLog log_;
     bool host_metrics_;
-    std::mutex mutex_;
-    std::ofstream out_;
-    int syncFd_ = -1; ///< Secondary fd for fsync; -1 when sync is off.
 };
 
 /**
- * Load a journal written by JournalWriter. A malformed *final* line is
- * dropped with a warning (the expected artifact of a killed process);
- * a malformed interior line is fatal — that is corruption, not a
- * crash. A missing file yields an empty map (the sweep died before
- * completing anything). Duplicate keys keep the last record.
+ * Load a journal written by JournalWriter, under the AppendLog reader
+ * contract (a torn final record is dropped, interior corruption is
+ * fatal, a missing file is empty). Duplicate keys keep the last record.
  */
 JournalMap loadJournal(const std::string &path);
 

@@ -1,14 +1,15 @@
 #include "telemetry/telemetry.hh"
 
-#include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
+#include "runner/append_log.hh"
 #include "runner/json.hh"
 #include "telemetry/trace.hh"
 
@@ -20,14 +21,16 @@ namespace detail
 /**
  * The whole enabled-telemetry world. Forked workers inherit a copy:
  * the epoch stays shared (so timestamps align across processes) while
- * reopenForWorker() swaps the process-local pieces (event fd, pid).
+ * reopenForWorker() swaps the process-local pieces (event log, pid).
  */
 struct TelemetryState
 {
     std::string tracePath;
     std::chrono::steady_clock::time_point epoch;
 
-    int eventFd = -1;
+    /** This process's event part file: events are ~150 bytes, one
+        AppendLog record each, so a kill loses at most one span. */
+    std::optional<runner::AppendLog> events;
     int pid = 0;
     unsigned workers = 0;
     bool finalized = false;
@@ -62,37 +65,14 @@ workerEventPath(const std::string &tracePath, unsigned worker)
     return tracePath + ".w" + std::to_string(worker) + ".events";
 }
 
-/** One whole line, one write(2): the claims-appender idiom. Events
- * are ~150 bytes, far below PIPE_BUF, so concurrent processes never
- * interleave and a kill loses at most the line being written. */
+/** Append one event; a lost span is only a gap in the trace. */
 void
-writeLine(int fd, const std::string &line)
+writeEvent(TelemetryState &state, std::string line)
 {
-    ssize_t written = 0;
-    while (written < static_cast<ssize_t>(line.size())) {
-        const ssize_t n =
-            ::write(fd, line.data() + written, line.size() - written);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            DGSIM_WARN_ONCE("telemetry event write failed: " +
-                            std::string(std::strerror(errno)));
-            return;
-        }
-        written += n;
-    }
-}
-
-int
-openEventFile(const std::string &path, bool truncate)
-{
-    const int flags =
-        O_WRONLY | O_APPEND | O_CREAT | (truncate ? O_TRUNC : 0);
-    const int fd = ::open(path.c_str(), flags, 0644);
-    if (fd < 0)
-        DGSIM_FATAL("cannot open telemetry event file '" + path + "': " +
-                    std::strerror(errno));
-    return fd;
+    const int err = state.events->append(std::move(line));
+    if (err != 0)
+        DGSIM_WARN_ONCE("telemetry event write failed: " +
+                        std::string(std::strerror(err)));
 }
 
 } // namespace
@@ -122,8 +102,8 @@ emitSpan(TelemetryState &state, const char *name, const char *cat,
             std::to_string(end_us >= start_us ? end_us - start_us : 0) +
             ",\"pid\":" + std::to_string(state.pid) +
             ",\"tid\":" + std::to_string(threadTid()) + ",\"args\":{" +
-            args + "}}\n";
-    writeLine(state.eventFd, line);
+            args + "}}";
+    writeEvent(state, std::move(line));
 }
 
 } // namespace detail
@@ -139,8 +119,8 @@ enable(const std::string &tracePath)
     state->tracePath = tracePath;
     state->epoch = std::chrono::steady_clock::now();
     state->pid = static_cast<int>(::getpid());
-    state->eventFd = detail::openEventFile(detail::mainEventPath(tracePath),
-                                           /*truncate=*/true);
+    state->events.emplace(detail::mainEventPath(tracePath),
+                          runner::AppendLog::Open::Truncate);
     detail::g_state.store(state, std::memory_order_release);
     emitProcessName("dgrun");
 }
@@ -156,7 +136,6 @@ shutdown()
     // none by the time dgrun shuts down, but cheap insurance) stop
     // observing the state being torn down.
     detail::g_state.store(nullptr, std::memory_order_release);
-    ::close(state->eventFd);
     delete state;
 }
 
@@ -168,10 +147,10 @@ reopenForWorker(unsigned worker)
     if (!state)
         return;
     state->pid = static_cast<int>(::getpid());
-    ::close(state->eventFd);
-    state->eventFd = detail::openEventFile(
-        detail::workerEventPath(state->tracePath, worker),
-        /*truncate=*/false);
+    // Append: a recovery pass's worker continues its predecessor's file,
+    // whose last span a kill may have torn.
+    state->events.emplace(detail::workerEventPath(state->tracePath, worker),
+                          runner::AppendLog::Open::Append);
     emitProcessName("worker " + std::to_string(worker));
 }
 
@@ -222,8 +201,8 @@ emitProcessName(const std::string &name)
         "{\"name\":\"process_name\",\"cat\":\"__metadata\",\"ph\":\"M\","
         "\"ts\":0,\"dur\":0,\"pid\":" +
         std::to_string(state->pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
-        runner::jsonEscape(name) + "\"}}\n";
-    detail::writeLine(state->eventFd, line);
+        runner::jsonEscape(name) + "\"}}";
+    detail::writeEvent(*state, line);
 }
 
 void

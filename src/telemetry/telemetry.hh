@@ -12,9 +12,9 @@
  * Spans form the hierarchy campaign → worker → job → phase
  * (expand / ffwd-warm / detailed-window / retry-backoff /
  * journal-append / steal / recovery). Each closed span becomes one
- * Chrome trace-event "X" line appended to a per-process event file
- * with a single O_APPEND write(2) — the claims-file idiom — so spans
- * survive worker _exit and concurrent writers never interleave.
+ * Chrome trace-event "X" record in a per-process event part file, an
+ * AppendLog (runner/append_log.hh), so spans survive worker _exit and
+ * concurrent writers never interleave.
  * finalizeTrace() merges the per-process files into one strict-JSON
  * trace-event document Perfetto loads directly, exactly like worker
  * journals merge into one result set.
@@ -63,7 +63,8 @@ void shutdown();
 
 /**
  * Post-fork worker setup: redirect span output to the worker's own
- * O_APPEND event part file (appends across recovery passes), refresh
+ * event part file (appended across recovery passes, after cutting a
+ * torn final event a killed predecessor left), refresh
  * the cached pid, and emit the Perfetto process-name metadata for this
  * worker's track. No-op when telemetry is off.
  */
@@ -80,7 +81,7 @@ void setWorkerCount(unsigned workers);
 /**
  * Merge the per-process event part files into the configured trace
  * path as one strict-JSON Chrome trace-event document. Tolerates a
- * truncated final line per part file (a killed worker's artifact).
+ * torn final line per part file (a killed worker's artifact).
  * Returns the merged path, or "" when telemetry is off. Idempotent —
  * only the first call merges.
  */

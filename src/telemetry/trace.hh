@@ -1,7 +1,7 @@
 /**
  * @file
- * Chrome trace-event files: the JSONL part-file loader (tolerant of a
- * killed worker's truncated final line, like the journal loader), the
+ * Chrome trace-event files: the JSONL part-file loader (an AppendLog
+ * reader, tolerant of a killed worker's torn final line), the
  * merger that folds per-process part files into one strict-JSON
  * trace-event document, and the strict loader + validator the tests
  * and `dgrun --report`/`--validate-telemetry` use.
@@ -34,11 +34,11 @@ struct TraceEvent
 };
 
 /**
- * Load one JSONL event part file. A malformed *final* line is dropped
- * with a warning — the expected artifact of a worker killed mid-span
- * emission; a malformed interior line is fatal (corruption, not a
- * crash). A missing file yields an empty vector: a worker that died
- * before its first span, or a pass that never forked it.
+ * Load one JSONL event part file under the AppendLog reader contract:
+ * a torn final line (a worker killed mid-span emission) is dropped
+ * with a warning, a malformed interior line is fatal, and a missing
+ * file — a worker that died before its first span, or a pass that
+ * never forked it — yields an empty vector.
  */
 std::vector<TraceEvent> loadTraceEvents(const std::string &path);
 

@@ -664,42 +664,64 @@ printSummaryTable(const std::vector<JobOutcome> &outcomes)
     return exitCode;
 }
 
-/** Write the requested --jsonl/--csv files for @p outcomes. */
-void
-writeSinkFiles(const std::vector<JobOutcome> &outcomes,
+/** The --jsonl/--csv files, opened before any simulation runs so a
+ * bad path fails fast instead of discarding minutes of results. */
+struct SinkFiles
+{
+    std::ofstream jsonl;
+    std::ofstream csv;
+};
+
+SinkFiles
+openSinkFiles(const Options &options)
+{
+    SinkFiles files;
+    if (!options.jsonlPath.empty()) {
+        files.jsonl.open(options.jsonlPath);
+        if (!files.jsonl)
+            usageError("cannot open " + options.jsonlPath);
+    }
+    if (!options.csvPath.empty()) {
+        files.csv.open(options.csvPath);
+        if (!files.csv)
+            usageError("cannot open " + options.csvPath);
+    }
+    return files;
+}
+
+/**
+ * Write @p outcomes to the opened sink files, print the summary table,
+ * and run the fuzz post-pass (repros, minimization, findings JSONL) when
+ * they are the index-ordered outcomes of a @p fuzzCount-candidate
+ * campaign. Returns 1 when any job failed, except that a confirmed
+ * secure-scheme leak dominates every other exit condition — it is the
+ * one result the campaign exists to find — and returns 4.
+ */
+int
+reportOutcomes(const std::vector<JobOutcome> &outcomes, SinkFiles &files,
+               std::uint64_t fuzzCount, std::uint64_t fuzzSeed,
                const Options &options)
 {
-    if (!options.jsonlPath.empty()) {
-        std::ofstream file(options.jsonlPath);
-        if (!file)
-            usageError("cannot open " + options.jsonlPath);
-        JsonlSink sink(file, /*host_metrics=*/options.hostMetrics);
+    if (files.jsonl.is_open()) {
+        // File output carries host metrics (wall-time/KIPS, trace and
+        // watchdog metadata) unless --no-host-metrics asked for the
+        // byte-comparable form.
+        JsonlSink sink(files.jsonl, /*host_metrics=*/options.hostMetrics);
         for (const JobOutcome &outcome : outcomes)
             sink.consume(outcome);
         sink.finish();
         std::fprintf(stderr, "[dgrun] wrote %s\n", options.jsonlPath.c_str());
     }
-    if (!options.csvPath.empty()) {
-        std::ofstream file(options.csvPath);
-        if (!file)
-            usageError("cannot open " + options.csvPath);
-        CsvSink sink(file);
+    if (files.csv.is_open()) {
+        CsvSink sink(files.csv);
         for (const JobOutcome &outcome : outcomes)
             sink.consume(outcome);
         sink.finish();
         std::fprintf(stderr, "[dgrun] wrote %s\n", options.csvPath.c_str());
     }
-}
-
-/**
- * The fuzz post-pass (repros, minimization, findings JSONL) over
- * index-ordered outcomes. Returns 4 — the "confirmed secure-scheme
- * leak" exit code — when any finding survived, else 0.
- */
-int
-runFuzzPost(const std::vector<JobOutcome> &outcomes, std::uint64_t fuzzSeed,
-            const Options &options)
-{
+    const int exitCode = printSummaryTable(outcomes);
+    if (fuzzCount == 0)
+        return exitCode;
     fuzz::PostOptions popts;
     popts.fuzzSeed = fuzzSeed;
     popts.reproDir = options.fuzzDir;
@@ -708,7 +730,7 @@ runFuzzPost(const std::vector<JobOutcome> &outcomes, std::uint64_t fuzzSeed,
     popts.quiet = options.quiet;
     const fuzz::PostSummary summary =
         fuzz::postProcess(outcomes, popts, std::cerr);
-    return summary.findings != 0 ? 4 : 0;
+    return summary.findings != 0 ? 4 : exitCode;
 }
 
 /** --fuzz-replay: one .dgasm repro through the full oracle. */
@@ -826,6 +848,18 @@ runCampaignInit(const Options &options)
     return 0;
 }
 
+/** Load the manifest at @p path and its validated job expansion. */
+std::vector<Job>
+manifestJobs(const std::string &path, CampaignManifest &manifest)
+{
+    manifest = loadManifest(path);
+    std::vector<Job> jobs = manifestSpec(manifest).expand();
+    const std::string err = validateManifest(manifest, jobs);
+    if (!err.empty())
+        usageError("manifest mismatch: " + err);
+    return jobs;
+}
+
 /**
  * --list-jobs: shard membership of the selected sweep, then exit. With
  * --campaign F the sweep and shard count come from the manifest, so the
@@ -837,12 +871,8 @@ runListJobs(const Options &options)
     std::vector<Job> jobs;
     unsigned shards = options.shardCount != 0 ? options.shardCount : 1;
     if (!options.campaignPath.empty()) {
-        const CampaignManifest manifest =
-            loadManifest(options.campaignPath);
-        jobs = manifestSpec(manifest).expand();
-        const std::string err = validateManifest(manifest, jobs);
-        if (!err.empty())
-            usageError("manifest mismatch: " + err);
+        CampaignManifest manifest;
+        jobs = manifestJobs(options.campaignPath, manifest);
         if (options.shardCount == 0)
             shards = manifest.shards;
     } else {
@@ -871,16 +901,13 @@ runListJobs(const Options &options)
 int
 runMergeMode(const Options &options)
 {
+    SinkFiles sinkFiles = openSinkFiles(options);
     std::vector<Job> jobs;
     std::uint64_t fuzzCount = options.fuzzCount;
     std::uint64_t fuzzSeed = options.fuzzSeed;
     if (!options.campaignPath.empty()) {
-        const CampaignManifest manifest =
-            loadManifest(options.campaignPath);
-        jobs = manifestSpec(manifest).expand();
-        const std::string err = validateManifest(manifest, jobs);
-        if (!err.empty())
-            usageError("manifest mismatch: " + err);
+        CampaignManifest manifest;
+        jobs = manifestJobs(options.campaignPath, manifest);
         fuzzCount = manifest.fuzzCount;
         fuzzSeed = manifest.fuzzSeed;
     } else {
@@ -901,10 +928,9 @@ runMergeMode(const Options &options)
 
     // --journal OUT: a merged journal any future --resume can load.
     if (!options.journalPath.empty()) {
-        std::remove(options.journalPath.c_str());
         JournalWriter writer(options.journalPath,
                              /*host_metrics=*/options.hostMetrics,
-                             options.journalSync);
+                             options.journalSync, AppendLog::Open::Truncate);
         for (std::size_t i = 0; i < outcomes.size(); ++i)
             if (outcomes[i].attempts != 0)
                 writer.record(jobKey(jobs[i]), outcomes[i]);
@@ -912,18 +938,8 @@ runMergeMode(const Options &options)
                      options.journalPath.c_str());
     }
 
-    writeSinkFiles(outcomes, options);
-    int exitCode = printSummaryTable(outcomes);
-    if (missing != 0)
-        exitCode = 1;
-    if (fuzzCount != 0) {
-        // A confirmed secure-scheme leak dominates every other exit
-        // condition: it is the one result the campaign exists to find.
-        const int fuzzCode = runFuzzPost(outcomes, fuzzSeed, options);
-        if (fuzzCode != 0)
-            exitCode = fuzzCode;
-    }
-    return exitCode;
+    // A missing job is a failed outcome, so it fails the exit code too.
+    return reportOutcomes(outcomes, sinkFiles, fuzzCount, fuzzSeed, options);
 }
 
 /** --campaign: the forked work-stealing coordinator. */
@@ -931,6 +947,7 @@ int
 runCampaignMode(const Options &options)
 {
     const CampaignManifest manifest = loadManifest(options.campaignPath);
+    SinkFiles sinkFiles = openSinkFiles(options);
 
     CoordinatorOptions copts;
     copts.workers = options.workers;
@@ -958,26 +975,15 @@ runCampaignMode(const Options &options)
                  report.stolen, report.duplicates, report.passes,
                  report.workerDeaths);
 
-    writeSinkFiles(report.outcomes, options);
-    int exitCode = printSummaryTable(report.outcomes);
-    if (report.missing != 0) {
+    const int exitCode = reportOutcomes(report.outcomes, sinkFiles,
+                                        manifest.fuzzCount,
+                                        manifest.fuzzSeed, options);
+    if (report.missing != 0)
         std::fprintf(stderr,
                      "[dgrun] campaign incomplete: re-run --campaign %s "
                      "to resume\n",
                      options.campaignPath.c_str());
-        exitCode = 1;
-    }
-    if (manifest.fuzzCount != 0) {
-        // A confirmed secure-scheme leak dominates every other exit
-        // condition: it is the one result the campaign exists to find.
-        const int fuzzCode =
-            runFuzzPost(report.outcomes, manifest.fuzzSeed, options);
-        if (fuzzCode != 0)
-            exitCode = fuzzCode;
-    }
-    if (report.drained)
-        return 130;
-    return exitCode;
+    return report.drained ? 130 : exitCode;
 }
 
 /** --validate-trace: parse + structurally validate an O3PipeView file. */
@@ -1094,20 +1100,7 @@ main(int argc, char **argv)
                                  ? ThreadPool::hardwareThreads()
                                  : options.threads;
 
-    // Open sink files before the sweep so a bad path fails fast
-    // instead of discarding minutes of simulation.
-    std::ofstream jsonlFile;
-    if (!options.jsonlPath.empty()) {
-        jsonlFile.open(options.jsonlPath);
-        if (!jsonlFile)
-            usageError("cannot open " + options.jsonlPath);
-    }
-    std::ofstream csvFile;
-    if (!options.csvPath.empty()) {
-        csvFile.open(options.csvPath);
-        if (!csvFile)
-            usageError("cannot open " + options.csvPath);
-    }
+    SinkFiles sinkFiles = openSinkFiles(options);
 
     const SweepSpec spec = buildSpec(options);
     std::vector<Job> jobs;
@@ -1187,45 +1180,13 @@ main(int argc, char **argv)
         }
     }
 
-    if (jsonlFile.is_open()) {
-        // File output carries host metrics (wall-time/KIPS, trace and
-        // watchdog metadata) unless --no-host-metrics asked for the
-        // byte-comparable form; the --verify comparison above always
-        // uses the host-metrics-off serialization.
-        JsonlSink sink(jsonlFile, /*host_metrics=*/options.hostMetrics);
-        for (const JobOutcome &outcome : outcomes)
-            sink.consume(outcome);
-        sink.finish();
-        std::fprintf(stderr, "[dgrun] wrote %s\n", options.jsonlPath.c_str());
-    }
-    if (csvFile.is_open()) {
-        CsvSink sink(csvFile);
-        for (const JobOutcome &outcome : outcomes)
-            sink.consume(outcome);
-        sink.finish();
-        std::fprintf(stderr, "[dgrun] wrote %s\n", options.csvPath.c_str());
-    }
-
-    // Compact per-job summary on stdout (deterministic order).
-    std::printf("%-14s %-9s %-10s %10s %12s %8s %10s\n", "workload", "suite",
-                "config", "cycles", "instructions", "ipc", "status");
-    for (const JobOutcome &outcome : outcomes) {
-        if (outcome.ok) {
-            std::printf("%-14s %-9s %-10s %10llu %12llu %8.3f %10s\n",
-                        outcome.workload.c_str(), outcome.suite.c_str(),
-                        outcome.configLabel.c_str(),
-                        static_cast<unsigned long long>(outcome.result.cycles),
-                        static_cast<unsigned long long>(
-                            outcome.result.instructions),
-                        outcome.result.ipc, "ok");
-        } else {
-            std::printf("%-14s %-9s %-10s %10s %12s %8s %10s  # %s\n",
-                        outcome.workload.c_str(), outcome.suite.c_str(),
-                        outcome.configLabel.c_str(), "-", "-", "-", "FAILED",
-                        outcome.error.c_str());
-            exitCode = 1;
-        }
-    }
+    // The --verify comparison above always uses the host-metrics-off
+    // serialization, whatever the files get.
+    const int reportCode = reportOutcomes(outcomes, sinkFiles,
+                                          spec.fuzzCount, spec.fuzzSeed,
+                                          options);
+    if (reportCode != 0)
+        exitCode = reportCode;
 
     if (!options.tracePath.empty()) {
         std::uint64_t traceRecords = 0;
@@ -1247,13 +1208,6 @@ main(int argc, char **argv)
         }
     }
 
-    if (spec.fuzzCount != 0) {
-        // A confirmed secure-scheme leak dominates every other exit
-        // condition: it is the one result the campaign exists to find.
-        const int fuzzCode = runFuzzPost(outcomes, spec.fuzzSeed, options);
-        if (fuzzCode != 0)
-            exitCode = fuzzCode;
-    }
 
     // Fault-tolerance accounting.
     std::size_t resumedCount = 0, retriedCount = 0, interruptedCount = 0;

@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -223,6 +224,44 @@ TEST(Coordinator, KilledCampaignResumesOnRestart)
     EXPECT_EQ(second.ok, second.total);
     EXPECT_EQ(second.missing, 0u);
     EXPECT_EQ(jsonlOf(second.outcomes), jsonlOf(referenceRun(manifest)));
+}
+
+TEST(Coordinator, TornWorkerJournalsResumeOnRestart)
+{
+    CampaignManifest manifest;
+    const std::string path = freshManifest("coord_torn", manifest);
+
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.progress = false;
+    options.execute = slowMockResult;
+    ASSERT_EQ(runCampaign(path, manifest, options).missing, 0u);
+
+    // A kill mid-write tears each worker journal's last record. Tearing
+    // every journal means whichever worker re-runs a torn job appends
+    // to a torn journal of its own.
+    for (unsigned w = 0; w < options.workers; ++w) {
+        const std::string journal = workerJournalPath(path, w);
+        std::ifstream in(journal);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        in.close();
+        const std::string text = ss.str();
+        ASSERT_GT(text.size(), 40u) << journal;
+        std::ofstream out(journal, std::ios::trunc);
+        out << text.substr(0, text.size() - 40);
+    }
+
+    const CampaignReport second = runCampaign(path, manifest, options);
+    EXPECT_EQ(second.workerDeaths, 0u);
+    EXPECT_EQ(second.ok, second.total);
+    EXPECT_EQ(second.missing, 0u);
+    EXPECT_EQ(jsonlOf(second.outcomes), jsonlOf(referenceRun(manifest)));
+    // The recovered journals load cleanly once more.
+    EXPECT_EQ(mergeJournals({workerJournalPath(path, 0),
+                             workerJournalPath(path, 1)})
+                  .size(),
+              second.total);
 }
 
 TEST(Coordinator, FaultInjectionComposesWithWorkStealing)

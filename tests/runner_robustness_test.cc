@@ -26,6 +26,7 @@
 
 #include "common/errors.hh"
 #include "common/signals.hh"
+#include "runner/campaign.hh"
 #include "runner/experiment_runner.hh"
 #include "runner/journal.hh"
 #include "runner/result_sink.hh"
@@ -384,6 +385,61 @@ TEST(RunnerJournal, LoadToleratesTruncatedFinalRecord)
     EXPECT_EQ(map.size(), spec.jobCount());
 }
 
+TEST(RunnerJournal, TornJournalResumesTwiceAndMerges)
+{
+    const SweepSpec spec = smallSpec(1'000);
+    const std::vector<Job> jobs = spec.expand();
+    const std::string journalPath = tempPath("torn_resume_journal.jsonl");
+    std::remove(journalPath.c_str());
+
+    RunnerOptions reference = fastRetryOptions(4, 1);
+    reference.execute = mockResult;
+    const std::string uninterrupted =
+        jsonlOf(ExperimentRunner(reference).run(spec));
+
+    // Killed run: jobs 0..3 are journaled, then the kill lands inside
+    // the write of the third record.
+    std::atomic<bool> cancel{false};
+    RunnerOptions interrupted = fastRetryOptions(1, 1);
+    interrupted.journalPath = journalPath;
+    interrupted.cancel = &cancel;
+    interrupted.execute = [&cancel](const Job &job) {
+        if (job.index == 3)
+            cancel.store(true);
+        return mockResult(job);
+    };
+    ExperimentRunner(interrupted).run(spec);
+    std::string text;
+    {
+        std::ifstream in(journalPath);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        text = ss.str();
+    }
+    std::size_t third = 0;
+    for (int line = 0; line < 2; ++line)
+        third = text.find('\n', third) + 1;
+    {
+        std::ofstream out(journalPath, std::ios::trunc);
+        out << text.substr(0, third + 40);
+    }
+
+    // Each resume appends to the journal it resumes from, exactly like
+    // `dgrun --resume J`; the second must load what the first appended.
+    const auto resume = [&] {
+        RunnerOptions resumed = fastRetryOptions(2, 1);
+        resumed.journalPath = journalPath;
+        resumed.resume = loadJournal(journalPath);
+        resumed.execute = mockResult;
+        return jsonlOf(ExperimentRunner(resumed).run(spec));
+    };
+    EXPECT_EQ(resume(), uninterrupted);
+    EXPECT_EQ(loadJournal(journalPath).size(), jobs.size());
+    EXPECT_EQ(resume(), uninterrupted);
+    EXPECT_EQ(jsonlOf(orderOutcomes(mergeJournals({journalPath}), jobs)),
+              uninterrupted);
+}
+
 TEST(RunnerJournal, MissingJournalLoadsEmpty)
 {
     EXPECT_TRUE(loadJournal(tempPath("nonexistent.jsonl")).empty());
@@ -449,8 +505,8 @@ TEST(RunnerJournal, SyncedJournalRoundTrips)
     const std::string journalPath = tempPath("synced_journal.jsonl");
     std::remove(journalPath.c_str());
 
-    // --journal-sync path: every record is fsync'd through the
-    // secondary descriptor; the journal must still load identically.
+    // --journal-sync path: every record is fsync'd after its write;
+    // the journal must still load identically.
     RunnerOptions options = fastRetryOptions(2, 1);
     options.journalPath = journalPath;
     options.journalSync = true;

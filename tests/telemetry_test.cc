@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -391,6 +394,48 @@ TEST_F(Telemetry, KilledWorkerLeavesALoadableTrace)
     for (const telemetry::TraceEvent &event : events)
         recoveryPass |= event.name == "pass" && event.cat == "recovery";
     EXPECT_TRUE(recoveryPass);
+}
+
+TEST_F(Telemetry, TornPartFileIsCutBeforeTheNextWorkerAppends)
+{
+    // The recovery-pass shape: a killed worker tore its part file's last
+    // event, then its successor reopens the same file and appends.
+    enableTrace("telemetry_torn.trace.json");
+    telemetry::setWorkerCount(1);
+    const std::string part = tracePath_ + ".w0.events";
+    {
+        std::ofstream out(part, std::ios::trunc);
+        out << "{\"name\":\"job\",\"cat\":\"job\",\"ph\":\"X\",\"ts\":1,"
+               "\"dur\":2,\"pid\":10,\"tid\":1,\"args\":{}}\n"
+            << "{\"name\":\"job\",\"cat\":\"jo";
+    }
+
+    std::fflush(stdout);
+    std::fflush(stderr);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        telemetry::reopenForWorker(0);
+        {
+            telemetry::ScopedSpan span("worker", "worker");
+        }
+        _exit(0);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+    ASSERT_EQ(telemetry::finalizeTrace(), tracePath_);
+    const std::vector<telemetry::TraceEvent> events =
+        telemetry::loadMergedTrace(tracePath_);
+    EXPECT_EQ(telemetry::validateTraceEvents(events), "");
+    std::size_t workerSpans = 0, jobSpans = 0;
+    for (const telemetry::TraceEvent &event : events) {
+        workerSpans += event.name == "worker";
+        jobSpans += event.name == "job";
+    }
+    EXPECT_EQ(workerSpans, 1u);
+    EXPECT_EQ(jobSpans, 1u);
 }
 
 // --- Telemetry must never perturb results ------------------------------
