@@ -58,14 +58,11 @@ FfwdEngine::ffwd(std::uint64_t max_instructions)
             // prefetching mode) so the warm cache contents match what
             // the prefetcher would have pulled in.
             warm_stride_.train(pc, step.effAddr);
-            if (config_.prefetcherEnabled) {
-                auto ahead = warm_stride_.predictAhead(
-                    pc, step.effAddr, config_.prefetchDegree);
-                if (ahead && warm_hierarchy_.lineAddr(*ahead) !=
-                                 warm_hierarchy_.lineAddr(step.effAddr)) {
-                    warm_hierarchy_.warmAccess(*ahead, /*is_write=*/false);
-                }
-            }
+            auto ahead = warm_stride_.predictAhead(pc, step.effAddr,
+                                                   config_.prefetchDegree);
+            if (ahead && warm_hierarchy_.lineAddr(*ahead) !=
+                             warm_hierarchy_.lineAddr(step.effAddr))
+                warm_hierarchy_.warmAccess(*ahead, /*is_write=*/false);
             break;
           }
           case OpClass::MemWrite:

@@ -84,7 +84,6 @@ struct SimConfig
     unsigned predictorAssoc = 8;
     unsigned predictorConfidenceThreshold = 2; ///< Min confirmations.
     unsigned prefetchDegree = 12; ///< Instances ahead in prefetching mode.
-    bool prefetcherEnabled = true;
 
     // --- Branch prediction ----------------------------------------------
     unsigned bpHistoryBits = 12;

@@ -379,19 +379,15 @@ OooCore::commitOne(const DynInstPtr &inst, unsigned &stores_this_cycle)
         dg_unit_->commitLoad(*inst);
         // Prefetching mode of the shared stride structure (paper §5.1):
         // at commit, predict future instances and prefetch them.
-        if (config_.prefetcherEnabled) {
-            auto ahead = stride_table_->predictAhead(
-                inst->pc, inst->effAddr, config_.prefetchDegree);
-            if (ahead &&
-                hierarchy_->lineAddr(*ahead) !=
-                    hierarchy_->lineAddr(inst->effAddr)) {
-                MemAccessFlags flags;
-                flags.isPrefetch = true;
-                AccessOutcome outcome =
-                    hierarchy_->access(*ahead, cycle_, flags);
-                if (outcome.accepted())
-                    ++prefetchesIssued_;
-            }
+        auto ahead = stride_table_->predictAhead(inst->pc, inst->effAddr,
+                                                 config_.prefetchDegree);
+        if (ahead && hierarchy_->lineAddr(*ahead) !=
+                         hierarchy_->lineAddr(inst->effAddr)) {
+            MemAccessFlags flags;
+            flags.isPrefetch = true;
+            AccessOutcome outcome = hierarchy_->access(*ahead, cycle_, flags);
+            if (outcome.accepted())
+                ++prefetchesIssued_;
         }
     }
 

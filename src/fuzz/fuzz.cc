@@ -8,20 +8,11 @@
 #include "fuzz/dgasm.hh"
 #include "fuzz/minimize.hh"
 #include "fuzz/synth.hh"
+#include "runner/json.hh"
 #include "sim/simulator.hh"
 
 namespace dgsim::fuzz
 {
-namespace
-{
-
-std::string
-u64s(std::uint64_t value)
-{
-    return std::to_string(static_cast<unsigned long long>(value));
-}
-
-} // namespace
 
 SimResult
 runCandidateJob(const runner::Job &job)
@@ -159,29 +150,26 @@ postProcess(const std::vector<runner::JobOutcome> &outcomes,
                 saveDgasm(minimized.ir, min_path);
             }
 
-            findings_out
-                << "{\"key\":" << u64s(key) << ",\"seed\":"
-                << u64s(options.fuzzSeed) << ",\"name\":\"" << ir.name
-                << "\",\"config\":\"" << verdict.configLabel
-                << "\",\"expected\":"
-                << (verdict.expected ? "true" : "false")
-                << ",\"secretA\":" << u64s(pair.a) << ",\"secretB\":"
-                << u64s(pair.b) << ",\"digestA\":"
-                << u64s(verdict.check.digestA) << ",\"digestB\":"
-                << u64s(verdict.check.digestB) << ",\"instructions\":"
-                << ir.instructionCount() << ",\"repro\":\"" << repro_path
-                << "\"";
+            runner::JsonWriter record;
+            record.u64("key", key)
+                .u64("seed", options.fuzzSeed)
+                .string("name", ir.name)
+                .string("config", verdict.configLabel)
+                .boolean("expected", verdict.expected)
+                .u64("secretA", pair.a)
+                .u64("secretB", pair.b)
+                .u64("digestA", verdict.check.digestA)
+                .u64("digestB", verdict.check.digestB)
+                .u64("instructions", ir.instructionCount())
+                .string("repro", repro_path)
+                .boolean("minimized", minimize);
             if (minimize) {
-                findings_out << ",\"minimized\":true,\"minInstructions\":"
-                             << minimized.ir.instructionCount()
-                             << ",\"minRepro\":\"" << min_path
-                             << "\",\"minTests\":" << minimized.testsRun
-                             << ",\"minConverged\":"
-                             << (minimized.converged ? "true" : "false");
-            } else {
-                findings_out << ",\"minimized\":false";
+                record.u64("minInstructions", minimized.ir.instructionCount())
+                    .string("minRepro", min_path)
+                    .u64("minTests", minimized.testsRun)
+                    .boolean("minConverged", minimized.converged);
             }
-            findings_out << "}\n";
+            findings_out << record.str() << "\n";
 
             if (verdict.finding()) {
                 log << "fuzz FINDING: " << ir.name << " leaks under "

@@ -1,8 +1,5 @@
 #include "runner/campaign.hh"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -12,8 +9,6 @@
 #include "workloads/suite.hh"
 
 namespace dgsim::runner
-{
-namespace
 {
 
 std::vector<std::string>
@@ -27,43 +22,6 @@ splitCommas(const std::string &text)
             parts.push_back(part);
     return parts;
 }
-
-/** %.17g: shortest text strtod restores bit-exactly (rates are finite). */
-std::string
-doubleText(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-std::uint64_t
-memberU64(const JsonValue &object, const char *name)
-{
-    const std::string &text = jsonMember(object, name).number;
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || *end != '\0' || errno == ERANGE)
-        throw CampaignError(std::string("manifest: bad integer for ") +
-                            name + ": '" + text + "'");
-    return value;
-}
-
-double
-memberDouble(const JsonValue &object, const char *name)
-{
-    const std::string &text = jsonMember(object, name).number;
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (text.empty() || *end != '\0')
-        throw CampaignError(std::string("manifest: bad number for ") +
-                            name + ": '" + text + "'");
-    return value;
-}
-
-} // namespace
 
 unsigned
 shardOf(const std::string &key, unsigned shards)
@@ -204,29 +162,34 @@ writeManifest(const std::string &path, const CampaignManifest &manifest)
     if (!out)
         throw CampaignError("cannot open manifest '" + path +
                             "' for writing");
-    out << "{\"dgsim_campaign\":1"
-        << ",\"name\":\"" << jsonEscape(manifest.name) << "\""
-        << ",\"shards\":" << manifest.shards
-        << ",\"jobs\":" << manifest.jobKeys.size()
-        << ",\"suite\":\"" << jsonEscape(manifest.suite) << "\""
-        << ",\"tier\":\"" << jsonEscape(manifest.tier) << "\""
-        << ",\"schemes\":\"" << jsonEscape(manifest.schemes) << "\""
-        << ",\"ap\":\"" << jsonEscape(manifest.ap) << "\""
-        << ",\"instructions\":" << manifest.instructions
-        << ",\"ffwd\":" << manifest.ffwdInstructions
-        << ",\"sampleInterval\":" << manifest.sampleInterval
-        << ",\"sampleDetail\":" << manifest.sampleDetail
-        << ",\"fuzzCount\":" << manifest.fuzzCount
-        << ",\"fuzzSeed\":" << manifest.fuzzSeed
-        << ",\"retries\":" << manifest.retries
-        << ",\"retryBaseMs\":" << manifest.retryBaseMs
-        << ",\"jobTimeoutSec\":" << manifest.jobTimeoutSec
-        << ",\"injectFailRate\":" << doubleText(manifest.injectFailRate)
-        << ",\"injectFailSeed\":" << manifest.injectFailSeed
-        << "}\n";
+    out << JsonWriter()
+               .u64("dgsim_campaign", 1)
+               .string("name", manifest.name)
+               .u64("shards", manifest.shards)
+               .u64("jobs", manifest.jobKeys.size())
+               .string("suite", manifest.suite)
+               .string("tier", manifest.tier)
+               .string("schemes", manifest.schemes)
+               .string("ap", manifest.ap)
+               .u64("instructions", manifest.instructions)
+               .u64("ffwd", manifest.ffwdInstructions)
+               .u64("sampleInterval", manifest.sampleInterval)
+               .u64("sampleDetail", manifest.sampleDetail)
+               .u64("fuzzCount", manifest.fuzzCount)
+               .u64("fuzzSeed", manifest.fuzzSeed)
+               .u64("retries", manifest.retries)
+               .u64("retryBaseMs", manifest.retryBaseMs)
+               .u64("jobTimeoutSec", manifest.jobTimeoutSec)
+               .number("injectFailRate", manifest.injectFailRate)
+               .u64("injectFailSeed", manifest.injectFailSeed)
+               .str()
+        << "\n";
     for (const std::string &key : manifest.jobKeys)
-        out << "{\"job\":\"" << jsonEscape(key) << "\",\"shard\":"
-            << shardOf(key, manifest.shards) << "}\n";
+        out << JsonWriter()
+                   .string("job", key)
+                   .u64("shard", shardOf(key, manifest.shards))
+                   .str()
+            << "\n";
     out.flush();
     if (!out)
         throw CampaignError("failed writing manifest '" + path + "'");

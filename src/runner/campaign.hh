@@ -107,6 +107,9 @@ SimConfig campaignBaseConfig(std::uint64_t instructions,
                              std::uint64_t sampleInterval,
                              std::uint64_t sampleDetail);
 
+/** The non-empty parts of a comma-separated list ("gobmk,,mcf"). */
+std::vector<std::string> splitCommas(const std::string &text);
+
 /** Rebuild the sweep a manifest pins. Throws CampaignError. */
 SweepSpec manifestSpec(const CampaignManifest &manifest);
 

@@ -48,10 +48,9 @@ loadClaims(const std::string &path)
         [&claims](const JsonValue &record) {
             Claim claim;
             claim.key = jsonMember(record, "key").str;
-            claim.shard = static_cast<unsigned>(
-                std::stoul(jsonMember(record, "shard").number));
-            claim.worker = static_cast<unsigned>(
-                std::stoul(jsonMember(record, "worker").number));
+            claim.shard = static_cast<unsigned>(memberU64(record, "shard"));
+            claim.worker =
+                static_cast<unsigned>(memberU64(record, "worker"));
             claims.push_back(std::move(claim));
         },
         /*skipMalformed=*/true);
@@ -128,10 +127,11 @@ runClaimedJob(const WorkerContext &ctx, std::size_t i, JournalWriter &journal,
         steal.arg("shard", std::uint64_t{ctx.shards[i]});
     }
 
-    const int err = ctx.claims->append(
-        "{\"key\":\"" + jsonEscape(ctx.keys[i]) + "\",\"shard\":" +
-        std::to_string(ctx.shards[i]) + ",\"worker\":" +
-        std::to_string(ctx.worker) + "}");
+    const int err = ctx.claims->append(JsonWriter()
+                                           .string("key", ctx.keys[i])
+                                           .u64("shard", ctx.shards[i])
+                                           .u64("worker", ctx.worker)
+                                           .str());
     if (err != 0)
         DGSIM_FATAL("claims append failed: " +
                     std::string(std::strerror(err)));

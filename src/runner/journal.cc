@@ -71,10 +71,10 @@ JournalWriter::record(const std::string &key, const JobOutcome &outcome)
 {
     // The wrapper fields ride in front of the standard serialization;
     // outcomeFromJson() ignores them on the way back in.
-    const int err = log_.append(
-        "{\"key\":\"" + jsonEscape(key) + "\",\"attempts\":" +
-        std::to_string(outcome.attempts) + "," +
-        toJsonLine(outcome, host_metrics_).substr(1));
+    JsonWriter line;
+    line.string("key", key).u64("attempts", outcome.attempts);
+    writeOutcome(line, outcome, host_metrics_);
+    const int err = log_.append(line.str());
     if (err != 0)
         DGSIM_FATAL("journal '" + log_.path() + "' write failed: " +
                     std::strerror(err));
@@ -87,8 +87,8 @@ loadJournal(const std::string &path)
     loadAppendLog(path, [&map](const JsonValue &record) {
         const std::string key = jsonMember(record, "key").str;
         JobOutcome outcome = outcomeFromJson(record);
-        outcome.attempts = static_cast<unsigned>(
-            std::stoul(jsonMember(record, "attempts").number));
+        outcome.attempts =
+            static_cast<unsigned>(memberU64(record, "attempts"));
         map[key] = std::move(outcome); // Last record wins.
     });
     return map;

@@ -1,11 +1,25 @@
 #include "runner/json.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace dgsim::runner
 {
+namespace
+{
+
+/** A malformed value as an error message quotes it. */
+std::string
+shown(const JsonValue &value)
+{
+    return value.kind == JsonValue::Kind::String ? "\"" + value.str + "\""
+                                                 : value.number;
+}
+
+} // namespace
 
 JsonValue
 JsonParser::parse()
@@ -227,6 +241,123 @@ jsonMember(const JsonValue &object, const char *name)
         throw JsonParseError(std::string("record missing field '") + name +
                              "'");
     return it->second;
+}
+
+std::string
+doubleText(double value)
+{
+    if (std::isnan(value))
+        return "NaN";
+    if (std::isinf(value))
+        return std::signbit(value) ? "-Infinity" : "Infinity";
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+}
+
+std::string &
+JsonWriter::key(const std::string &name)
+{
+    text_ += text_.empty() ? "{\"" : ",\"";
+    return text_.append(jsonEscape(name)).append("\":");
+}
+
+JsonWriter &
+JsonWriter::raw(const std::string &name, const std::string &json)
+{
+    key(name).append(json);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::string(const std::string &name, const std::string &value)
+{
+    key(name).append("\"").append(jsonEscape(value)).append("\"");
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::u64(const std::string &name, std::uint64_t value)
+{
+    return raw(name, std::to_string(value));
+}
+
+JsonWriter &
+JsonWriter::number(const std::string &name, double value)
+{
+    return std::isfinite(value) ? raw(name, doubleText(value))
+                                : string(name, doubleText(value));
+}
+
+JsonWriter &
+JsonWriter::boolean(const std::string &name, bool value)
+{
+    return raw(name, value ? "true" : "false");
+}
+
+std::uint64_t
+parseU64(const std::string &text, const std::string &name)
+{
+    // strtoull silently accepts leading whitespace and a sign — and
+    // wraps "-1" to 2^64-1 — so a corrupted record would load as
+    // garbage. The writer only ever emits bare digits; demand them.
+    errno = 0;
+    char *end = nullptr;
+    const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE)
+        throw JsonParseError("bad integer for " + name + ": '" + text + "'");
+    return value;
+}
+
+double
+parseDouble(const std::string &text, const std::string &name)
+{
+    // Like the integer path, reject the whitespace/'+' prefixes strtod
+    // would silently eat ('-' stays legal: -Infinity needs it).
+    errno = 0;
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    // ERANGE covers two very different cases: overflow (+-HUGE_VAL, a
+    // value the writer never emits) and *underflow*, which it can — %.17g
+    // of a subnormal parses back with errno == ERANGE but an exact
+    // result. Only overflow is an error.
+    const bool overflow =
+        errno == ERANGE && (value == HUGE_VAL || value == -HUGE_VAL);
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+        text[0] == '+' || *end != '\0' || overflow)
+        throw JsonParseError("bad number for " + name + ": '" + text + "'");
+    return value;
+}
+
+std::uint64_t
+asU64(const JsonValue &value, const std::string &name)
+{
+    if (value.kind != JsonValue::Kind::Number)
+        throw JsonParseError("bad integer for " + name + ": '" +
+                             shown(value) + "'");
+    return parseU64(value.number, name);
+}
+
+std::uint64_t
+memberU64(const JsonValue &object, const char *name)
+{
+    return asU64(jsonMember(object, name), name);
+}
+
+double
+memberDouble(const JsonValue &object, const char *name)
+{
+    const JsonValue &value = jsonMember(object, name);
+    if (value.kind == JsonValue::Kind::Number)
+        return parseDouble(value.number, name);
+    // Only the non-finite tokens are quoted on the wire.
+    if (value.kind == JsonValue::Kind::String &&
+        (value.str == "NaN" || value.str == "Infinity" ||
+         value.str == "-Infinity"))
+        return parseDouble(value.str, name);
+    throw JsonParseError(std::string("bad number for ") + name + ": '" +
+                         shown(value) + "'");
 }
 
 } // namespace dgsim::runner

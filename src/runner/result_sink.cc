@@ -1,10 +1,5 @@
 #include "runner/result_sink.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <string>
 
@@ -53,90 +48,6 @@ const Field kFields[] = {
     {"cacheDigest", &SimResult::cacheDigest, nullptr},
     {"uarchDigest", &SimResult::uarchDigest, nullptr},
 };
-
-/**
- * Shortest representation that strtod restores bit-exactly. Non-finite
- * values (a zero-denominator job's ipc or dgAccuracy) get canonical
- * tokens instead of the locale-ish bare `nan`/`inf` %g would print —
- * which is not valid JSON and does not round-trip.
- */
-std::string
-doubleToString(double value)
-{
-    if (std::isnan(value))
-        return "NaN";
-    if (std::isinf(value))
-        return std::signbit(value) ? "-Infinity" : "Infinity";
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
-}
-
-/**
- * A double as a JSON value: raw number when finite, quoted token when
- * not (JSON has no NaN/Infinity literals; a bare token would make the
- * whole line unparseable).
- */
-std::string
-jsonDouble(double value)
-{
-    if (!std::isfinite(value))
-        return std::string("\"").append(doubleToString(value)).append("\"");
-    return doubleToString(value);
-}
-
-std::uint64_t
-stringToU64(const std::string &text, const char *what)
-{
-    // strtoull silently accepts leading whitespace and a sign — and
-    // wraps "-1" to 2^64-1 — so a corrupted row would round-trip as
-    // garbage. The sinks only ever write bare digits; demand them.
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-        DGSIM_FATAL(std::string("bad integer for ") + what + ": '" + text +
-                    "'");
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (*end != '\0' || errno == ERANGE)
-        DGSIM_FATAL(std::string("bad integer for ") + what + ": '" + text +
-                    "'");
-    return value;
-}
-
-double
-stringToDouble(const std::string &text, const char *what)
-{
-    // Like the integer path, reject the whitespace/'+' prefixes strtod
-    // would silently eat ('-' stays legal: -Infinity needs it).
-    if (text.empty() ||
-        std::isspace(static_cast<unsigned char>(text[0])) || text[0] == '+')
-        DGSIM_FATAL(std::string("bad number for ") + what + ": '" + text +
-                    "'");
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    // ERANGE covers two very different cases: overflow (+-HUGE_VAL, a
-    // value we never wrote) and *underflow*, which the sink itself can
-    // legitimately produce — %.17g of a subnormal parses back with
-    // errno == ERANGE but a perfectly valid result. Only overflow is an
-    // error.
-    const bool overflow =
-        errno == ERANGE && (value == HUGE_VAL || value == -HUGE_VAL);
-    if (*end != '\0' || overflow)
-        DGSIM_FATAL(std::string("bad number for ") + what + ": '" + text +
-                    "'");
-    return value;
-}
-
-/**
- * The raw text of a numeric member. Finite doubles arrive as JSON
- * numbers; NaN/Infinity arrive as the quoted tokens jsonDouble emits.
- */
-const std::string &
-numberText(const JsonValue &value)
-{
-    return value.kind == JsonValue::Kind::String ? value.str : value.number;
-}
 
 // --- CSV ----------------------------------------------------------------
 
@@ -216,50 +127,47 @@ constexpr const char *kCounterPrefix = "counter:";
 
 } // namespace
 
-std::string
-toJsonLine(const JobOutcome &outcome, bool host_metrics)
+void
+writeOutcome(JsonWriter &out, const JobOutcome &outcome, bool host_metrics)
 {
-    std::string out = "{";
-    out += "\"index\":" + std::to_string(outcome.index);
-    out += ",\"workload\":\"" + jsonEscape(outcome.workload) + "\"";
-    out += ",\"suite\":\"" + jsonEscape(outcome.suite) + "\"";
-    out += ",\"config\":\"" + jsonEscape(outcome.configLabel) + "\"";
-    out += std::string(",\"ok\":") + (outcome.ok ? "true" : "false");
-    out += ",\"error\":\"" + jsonEscape(outcome.error) + "\"";
+    out.u64("index", outcome.index)
+        .string("workload", outcome.workload)
+        .string("suite", outcome.suite)
+        .string("config", outcome.configLabel)
+        .boolean("ok", outcome.ok)
+        .string("error", outcome.error);
     for (const Field &field : kFields) {
-        out += ",\"" + std::string(field.name) + "\":";
-        out += field.u64 ? std::to_string(outcome.result.*field.u64)
-                         : jsonDouble(outcome.result.*field.dbl);
+        if (field.u64)
+            out.u64(field.name, outcome.result.*field.u64);
+        else
+            out.number(field.name, outcome.result.*field.dbl);
     }
-    out += ",\"counters\":{";
-    bool first = true;
-    for (const auto &kv : outcome.result.counters) {
-        if (!first)
-            out += ",";
-        first = false;
-        out.append("\"").append(jsonEscape(kv.first)).append("\":")
-            .append(std::to_string(kv.second));
-    }
-    out += "}";
+    JsonWriter counters;
+    for (const auto &kv : outcome.result.counters)
+        counters.u64(kv.first, kv.second);
+    out.object("counters", counters);
     if (host_metrics) {
         // Nested so readers looking fields up by name are unaffected;
         // never emitted on determinism-compared output (values are
         // host-dependent by nature).
-        out += ",\"host\":{";
-        out += "\"seconds\":" + jsonDouble(outcome.result.hostSeconds);
-        out += ",\"kips\":" + jsonDouble(outcome.result.kips());
-        out += ",\"traceRecords\":" +
-               std::to_string(outcome.result.traceRecords);
-        out += ",\"watchdogCycles\":" +
-               std::to_string(outcome.result.watchdogCycles);
-        out += ",\"idleCyclesSkipped\":" +
-               std::to_string(outcome.result.idleCyclesSkipped);
-        out += ",\"skipEvents\":" +
-               std::to_string(outcome.result.skipEvents);
-        out += "}";
+        out.object("host",
+                   JsonWriter()
+                       .number("seconds", outcome.result.hostSeconds)
+                       .number("kips", outcome.result.kips())
+                       .u64("traceRecords", outcome.result.traceRecords)
+                       .u64("watchdogCycles", outcome.result.watchdogCycles)
+                       .u64("idleCyclesSkipped",
+                            outcome.result.idleCyclesSkipped)
+                       .u64("skipEvents", outcome.result.skipEvents));
     }
-    out += "}";
-    return out;
+}
+
+std::string
+toJsonLine(const JobOutcome &outcome, bool host_metrics)
+{
+    JsonWriter out;
+    writeOutcome(out, outcome, host_metrics);
+    return out.str();
 }
 
 void
@@ -301,7 +209,7 @@ CsvSink::finish()
             if (field.u64)
                 os_ << row.result.*field.u64;
             else
-                os_ << doubleToString(row.result.*field.dbl);
+                os_ << doubleText(row.result.*field.dbl);
         }
         for (const std::string &name : counterNames) {
             os_ << ",";
@@ -318,45 +226,34 @@ JobOutcome
 outcomeFromJson(const JsonValue &record)
 {
     JobOutcome outcome;
-    outcome.index = stringToU64(jsonMember(record, "index").number, "index");
+    outcome.index = memberU64(record, "index");
     outcome.workload = jsonMember(record, "workload").str;
     outcome.suite = jsonMember(record, "suite").str;
     outcome.configLabel = jsonMember(record, "config").str;
     outcome.ok = jsonMember(record, "ok").boolean;
     outcome.error = jsonMember(record, "error").str;
     for (const Field &field : kFields) {
-        const std::string &raw = numberText(jsonMember(record, field.name));
         if (field.u64)
-            outcome.result.*field.u64 = stringToU64(raw, field.name);
+            outcome.result.*field.u64 = memberU64(record, field.name);
         else
-            outcome.result.*field.dbl = stringToDouble(raw, field.name);
+            outcome.result.*field.dbl = memberDouble(record, field.name);
     }
     for (const auto &kv : jsonMember(record, "counters").object)
-        outcome.result.counters[kv.first] =
-            stringToU64(kv.second.number, kv.first.c_str());
+        outcome.result.counters[kv.first] = asU64(kv.second, kv.first);
     // Optional host-metrics object (JsonlSink host_metrics mode).
     const auto host = record.object.find("host");
     if (host != record.object.end()) {
-        outcome.result.hostSeconds = stringToDouble(
-            numberText(jsonMember(host->second, "seconds")), "host.seconds");
-        outcome.result.traceRecords =
-            stringToU64(jsonMember(host->second, "traceRecords").number,
-                        "host.traceRecords");
-        outcome.result.watchdogCycles =
-            stringToU64(jsonMember(host->second, "watchdogCycles").number,
-                        "host.watchdogCycles");
+        const JsonValue &metrics = host->second;
+        outcome.result.hostSeconds = memberDouble(metrics, "seconds");
+        outcome.result.traceRecords = memberU64(metrics, "traceRecords");
+        outcome.result.watchdogCycles = memberU64(metrics, "watchdogCycles");
         // Skip accounting postdates the host-object format: read it
         // tolerantly so journals written before it still load.
-        const auto skipped = host->second.object.find("idleCyclesSkipped");
-        if (skipped != host->second.object.end()) {
-            outcome.result.idleCyclesSkipped = stringToU64(
-                skipped->second.number, "host.idleCyclesSkipped");
-        }
-        const auto skips = host->second.object.find("skipEvents");
-        if (skips != host->second.object.end()) {
-            outcome.result.skipEvents =
-                stringToU64(skips->second.number, "host.skipEvents");
-        }
+        if (metrics.object.count("idleCyclesSkipped"))
+            outcome.result.idleCyclesSkipped =
+                memberU64(metrics, "idleCyclesSkipped");
+        if (metrics.object.count("skipEvents"))
+            outcome.result.skipEvents = memberU64(metrics, "skipEvents");
     }
     outcome.result.workload = outcome.workload;
     outcome.result.configLabel = outcome.configLabel;
@@ -406,26 +303,30 @@ readCsv(std::istream &is)
                         std::to_string(row.size()) + " fields, header has " +
                         std::to_string(header.size()));
         JobOutcome outcome;
-        outcome.index = stringToU64(row[column("index")], "index");
+        try {
+            outcome.index = parseU64(row[column("index")], "index");
+            for (const Field &field : kFields) {
+                const std::string &raw = row[column(field.name)];
+                if (field.u64)
+                    outcome.result.*field.u64 = parseU64(raw, field.name);
+                else
+                    outcome.result.*field.dbl = parseDouble(raw, field.name);
+            }
+            for (std::size_t i = 0; i < header.size(); ++i) {
+                if (header[i].rfind(kCounterPrefix, 0) != 0 || row[i].empty())
+                    continue;
+                const std::string name =
+                    header[i].substr(std::string(kCounterPrefix).size());
+                outcome.result.counters[name] = parseU64(row[i], name);
+            }
+        } catch (const JsonParseError &e) {
+            DGSIM_FATAL("CSV row " + std::to_string(r) + ": " + e.what());
+        }
         outcome.workload = row[column("workload")];
         outcome.suite = row[column("suite")];
         outcome.configLabel = row[column("config")];
         outcome.ok = row[column("ok")] == "true";
         outcome.error = row[column("error")];
-        for (const Field &field : kFields) {
-            const std::string &raw = row[column(field.name)];
-            if (field.u64)
-                outcome.result.*field.u64 = stringToU64(raw, field.name);
-            else
-                outcome.result.*field.dbl = stringToDouble(raw, field.name);
-        }
-        for (std::size_t i = 0; i < header.size(); ++i) {
-            if (header[i].rfind(kCounterPrefix, 0) != 0 || row[i].empty())
-                continue;
-            const std::string name =
-                header[i].substr(std::string(kCounterPrefix).size());
-            outcome.result.counters[name] = stringToU64(row[i], name.c_str());
-        }
         outcome.result.workload = outcome.workload;
         outcome.result.configLabel = outcome.configLabel;
         outcomes.push_back(std::move(outcome));

@@ -79,13 +79,17 @@ class CsvSink : public ResultSink
     std::vector<JobOutcome> rows_;
 };
 
+/** Write @p outcome's members, toJsonLine()'s body, into @p out. */
+void writeOutcome(JsonWriter &out, const JobOutcome &outcome,
+                  bool host_metrics);
+
 /** Serialize one outcome as a single JSON line (no trailing newline). */
 std::string toJsonLine(const JobOutcome &outcome, bool host_metrics = false);
 
 /**
  * Rebuild a JobOutcome from a parsed toJsonLine() record. Extra members
  * (the journal's "key"/"attempts" wrapper fields) are ignored; missing
- * ones raise JsonParseError. Malformed numerics are fatal.
+ * or malformed ones raise JsonParseError.
  */
 JobOutcome outcomeFromJson(const JsonValue &record);
 

@@ -10,7 +10,6 @@
 
 #include "common/log.hh"
 #include "runner/append_log.hh"
-#include "runner/json.hh"
 #include "telemetry/trace.hh"
 
 namespace dgsim::telemetry
@@ -89,21 +88,19 @@ nowMicros(TelemetryState &state)
 void
 emitSpan(TelemetryState &state, const char *name, const char *cat,
          std::uint64_t start_us, std::uint64_t end_us,
-         const std::string &args)
+         const runner::JsonWriter &args)
 {
-    std::string line;
-    line.reserve(160 + args.size());
-    line += "{\"name\":\"";
-    line += name;
-    line += "\",\"cat\":\"";
-    line += cat;
-    line += "\",\"ph\":\"X\",\"ts\":" + std::to_string(start_us) +
-            ",\"dur\":" +
-            std::to_string(end_us >= start_us ? end_us - start_us : 0) +
-            ",\"pid\":" + std::to_string(state.pid) +
-            ",\"tid\":" + std::to_string(threadTid()) + ",\"args\":{" +
-            args + "}}";
-    writeEvent(state, std::move(line));
+    writeEvent(state,
+               runner::JsonWriter()
+                   .string("name", name)
+                   .string("cat", cat)
+                   .string("ph", "X")
+                   .u64("ts", start_us)
+                   .u64("dur", end_us >= start_us ? end_us - start_us : 0)
+                   .u64("pid", static_cast<std::uint64_t>(state.pid))
+                   .u64("tid", threadTid())
+                   .object("args", args)
+                   .str());
 }
 
 } // namespace detail
@@ -197,33 +194,32 @@ emitProcessName(const std::string &name)
         detail::g_state.load(std::memory_order_acquire);
     if (!state)
         return;
-    const std::string line =
-        "{\"name\":\"process_name\",\"cat\":\"__metadata\",\"ph\":\"M\","
-        "\"ts\":0,\"dur\":0,\"pid\":" +
-        std::to_string(state->pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
-        runner::jsonEscape(name) + "\"}}";
-    detail::writeEvent(*state, line);
+    detail::writeEvent(
+        *state,
+        runner::JsonWriter()
+            .string("name", "process_name")
+            .string("cat", "__metadata")
+            .string("ph", "M")
+            .u64("ts", 0)
+            .u64("dur", 0)
+            .u64("pid", static_cast<std::uint64_t>(state->pid))
+            .u64("tid", 0)
+            .object("args", runner::JsonWriter().string("name", name))
+            .str());
 }
 
 void
 ScopedSpan::arg(const char *key, const std::string &value)
 {
-    if (!state_)
-        return;
-    if (!args_.empty())
-        args_ += ',';
-    args_ += std::string("\"") + key + "\":\"" + runner::jsonEscape(value) +
-             "\"";
+    if (state_)
+        args_.string(key, value);
 }
 
 void
 ScopedSpan::arg(const char *key, std::uint64_t value)
 {
-    if (!state_)
-        return;
-    if (!args_.empty())
-        args_ += ',';
-    args_ += std::string("\"") + key + "\":" + std::to_string(value);
+    if (state_)
+        args_.u64(key, value);
 }
 
 } // namespace dgsim::telemetry

@@ -27,6 +27,8 @@
 #include <cstdint>
 #include <string>
 
+#include "runner/json.hh"
+
 namespace dgsim::telemetry
 {
 
@@ -38,7 +40,7 @@ extern std::atomic<TelemetryState *> g_state;
 std::uint64_t nowMicros(TelemetryState &state);
 void emitSpan(TelemetryState &state, const char *name, const char *cat,
               std::uint64_t start_us, std::uint64_t end_us,
-              const std::string &args);
+              const runner::JsonWriter &args);
 } // namespace detail
 
 /** True while telemetry is enabled (one relaxed load). */
@@ -129,7 +131,7 @@ class ScopedSpan
     const char *name_ = nullptr;
     const char *cat_ = nullptr;
     std::uint64_t startUs_ = 0;
-    std::string args_; ///< Pre-rendered `"k":"v"` members, comma-joined.
+    runner::JsonWriter args_;
 };
 
 } // namespace dgsim::telemetry

@@ -1,8 +1,6 @@
 #include "telemetry/trace.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -18,25 +16,9 @@ namespace
 using runner::JsonParseError;
 using runner::JsonParser;
 using runner::JsonValue;
-using runner::jsonEscape;
+using runner::JsonWriter;
 using runner::jsonMember;
-
-std::uint64_t
-memberU64(const JsonValue &record, const char *name)
-{
-    const JsonValue &value = jsonMember(record, name);
-    if (value.kind != JsonValue::Kind::Number)
-        throw JsonParseError(std::string("event field '") + name +
-                             "' is not a number");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(value.number.c_str(), &end, 10);
-    if (value.number.empty() || *end != '\0' || errno == ERANGE)
-        throw JsonParseError(std::string("event field '") + name +
-                             "' is not a u64: '" + value.number + "'");
-    return parsed;
-}
+using runner::memberU64;
 
 TraceEvent
 eventFromJson(const JsonValue &record)
@@ -79,30 +61,21 @@ eventFromJson(const JsonValue &record)
 std::string
 eventToJsonLine(const TraceEvent &event)
 {
-    // Appends rather than one operator+ chain: GCC 12 reports a false
-    // -Wrestrict on the chain's temporaries.
-    std::string line = "{\"name\":\"";
-    line.append(jsonEscape(event.name))
-        .append("\",\"cat\":\"").append(jsonEscape(event.cat))
-        .append("\",\"ph\":\"").append(jsonEscape(event.ph))
-        .append("\",\"ts\":").append(std::to_string(event.ts))
-        .append(",\"dur\":").append(std::to_string(event.dur))
-        .append(",\"pid\":").append(std::to_string(event.pid))
-        .append(",\"tid\":").append(std::to_string(event.tid))
-        .append(",\"args\":{");
-    bool first = true;
-    for (const auto &entry : event.args) {
-        if (!first)
-            line += ',';
-        first = false;
-        // Args round-trip as strings: the report reads them as text
-        // and Perfetto renders them either way.
-        line.append("\"").append(jsonEscape(entry.first))
-            .append("\":\"").append(jsonEscape(entry.second))
-            .append("\"");
-    }
-    line += "}}";
-    return line;
+    // Args round-trip as strings: the report reads them as text and
+    // Perfetto renders them either way.
+    JsonWriter args;
+    for (const auto &entry : event.args)
+        args.string(entry.first, entry.second);
+    return JsonWriter()
+        .string("name", event.name)
+        .string("cat", event.cat)
+        .string("ph", event.ph)
+        .u64("ts", event.ts)
+        .u64("dur", event.dur)
+        .u64("pid", event.pid)
+        .u64("tid", event.tid)
+        .object("args", args)
+        .str();
 }
 
 } // namespace
@@ -143,12 +116,17 @@ mergeTraceFiles(const std::vector<std::string> &partPaths,
                     "'");
     // The JSON-object trace format Perfetto/chrome://tracing load
     // directly; one event per line keeps it greppable.
-    out << "{\"dgsim_telemetry\":1,\"displayTimeUnit\":\"ms\","
-        << "\"traceEvents\":[\n";
+    std::string list = "[\n";
     for (std::size_t i = 0; i < events.size(); ++i)
-        out << eventToJsonLine(events[i])
-            << (i + 1 < events.size() ? ",\n" : "\n");
-    out << "]}\n";
+        list.append(eventToJsonLine(events[i]))
+            .append(i + 1 < events.size() ? ",\n" : "\n");
+    list += "]";
+    out << JsonWriter()
+               .u64("dgsim_telemetry", 1)
+               .string("displayTimeUnit", "ms")
+               .raw("traceEvents", list)
+               .str()
+        << "\n";
     return events.size();
 }
 

@@ -193,18 +193,6 @@ usageError(const std::string &msg)
     std::exit(2);
 }
 
-std::vector<std::string>
-splitCommas(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::stringstream ss(text);
-    std::string part;
-    while (std::getline(ss, part, ','))
-        if (!part.empty())
-            parts.push_back(part);
-    return parts;
-}
-
 std::uint64_t
 parseCount(const std::string &text, const char *flag)
 {
@@ -526,70 +514,82 @@ parseArgs(int argc, char **argv)
     return options;
 }
 
+/** The campaign manifest this invocation's sweep flags describe. */
+CampaignManifest
+manifestFromOptions(const Options &options)
+{
+    CampaignManifest manifest;
+    std::string suite;
+    for (const std::string &name : options.workloadNames) {
+        if (!suite.empty())
+            suite += ',';
+        suite += name;
+    }
+    manifest.suite = suite;
+    manifest.tier = options.tier;
+    std::string schemes;
+    for (Scheme scheme : options.schemes) {
+        if (!schemes.empty())
+            schemes += ',';
+        schemes += schemeToken(scheme);
+    }
+    manifest.schemes = schemes;
+    manifest.ap = options.apModes.size() == 2
+                      ? "both"
+                      : (options.apModes[0] ? "on" : "off");
+    manifest.instructions = options.instructions;
+    manifest.ffwdInstructions = options.ffwdInstructions;
+    manifest.sampleInterval = options.sampleInterval;
+    manifest.sampleDetail = options.sampleDetail;
+    manifest.fuzzCount = options.fuzzCount;
+    manifest.fuzzSeed = options.fuzzSeed;
+    manifest.retries = options.retries;
+    manifest.retryBaseMs = options.retryBaseMs;
+    manifest.jobTimeoutSec = options.jobTimeoutSec;
+    manifest.injectFailRate = options.injectFailRate;
+    manifest.injectFailSeed = options.injectFailSeed;
+    return manifest;
+}
+
 SweepSpec
 buildSpec(const Options &options)
 {
-    if (options.fuzzCount != 0) {
-        if (!options.workloadNames.empty() || !options.tracePath.empty() ||
-            !options.ckptSavePath.empty() ||
-            !options.ckptRestorePath.empty() || options.wedge ||
-            options.ffwdInstructions != 0 || options.sampleInterval != 0)
-            usageError("--fuzz synthesizes its own jobs; it does not "
-                       "combine with --suite/--trace/--ckpt-*/--wedge/"
-                       "--ffwd/--sample");
-        // Mirrors manifestSpec()'s fuzz branch exactly: job identity
-        // must be byte-identical between `dgrun --fuzz` and a campaign
-        // of the same (count, seed).
-        SweepSpec spec;
-        SimConfig base = fuzz::oracleBaseConfig();
-        base.jobTimeoutMs = options.jobTimeoutSec * 1000;
-        spec.configs = {base};
-        spec.fuzzCount = options.fuzzCount;
-        spec.fuzzSeed = options.fuzzSeed;
-        return spec;
-    }
+    if (options.fuzzCount != 0 &&
+        (!options.workloadNames.empty() || !options.tracePath.empty() ||
+         !options.ckptSavePath.empty() || !options.ckptRestorePath.empty() ||
+         options.wedge || options.ffwdInstructions != 0 ||
+         options.sampleInterval != 0))
+        usageError("--fuzz synthesizes its own jobs; it does not "
+                   "combine with --suite/--trace/--ckpt-*/--wedge/"
+                   "--ffwd/--sample");
 
-    // The shared run-control derivation: campaign workers rebuild their
-    // jobs from the manifest through the very same function, so a
-    // campaign's jobs are byte-identical to a plain dgrun of the sweep.
-    SimConfig base = campaignBaseConfig(
-        options.instructions, options.ffwdInstructions,
-        options.sampleInterval, options.sampleDetail);
-    base.ckptSavePath = options.ckptSavePath;
-    base.ckptSaveInst = options.ckptSaveInst;
-    base.ckptRestorePath = options.ckptRestorePath;
-    if (!base.ckptRestorePath.empty()) {
-        // Functional warming replaces the warmup prefix: the detailed
-        // window starts measured from its first committed instruction.
-        base.warmupInstructions = 0;
-    }
-    base.tracePath = options.tracePath;
-    base.traceStartInst = options.traceStart;
-    base.traceMaxInsts = options.traceInsts;
-    base.watchdogCycles = options.watchdogCycles;
-    base.wedgeNeverResolve = options.wedge;
-    base.jobTimeoutMs = options.jobTimeoutSec * 1000;
-    // Host-level knob (like --threads): never part of job identity or
-    // campaign manifests, so a --no-skip run byte-compares against a
-    // skipping one.
-    base.idleSkip = options.idleSkip;
+    // Campaign workers rebuild their jobs from the manifest through the
+    // same manifestSpec(), so a campaign's jobs are byte-identical to a
+    // plain dgrun of the sweep.
+    SweepSpec spec = manifestSpec(manifestFromOptions(options));
+    if (options.fuzzCount != 0)
+        return spec; // Fuzz jobs keep oracleBaseConfig() untouched.
 
-    SweepSpec spec;
-    if (options.workloadNames.empty()) {
-        for (const auto &workload : workloads::extendedSuite())
-            if (options.tier == "all" || workload.tier == options.tier)
-                spec.workloads.push_back(workload);
-    } else {
-        for (const std::string &name : options.workloadNames)
-            spec.workloads.push_back(workloads::findWorkload(name));
-    }
-    for (Scheme scheme : options.schemes) {
-        for (bool ap : options.apModes) {
-            SimConfig config = base;
-            config.scheme = scheme;
-            config.addressPrediction = ap;
-            spec.configs.push_back(config);
+    // The host-only fields a manifest never carries.
+    for (SimConfig &config : spec.configs) {
+        config.ckptSavePath = options.ckptSavePath;
+        config.ckptSaveInst = options.ckptSaveInst;
+        config.ckptRestorePath = options.ckptRestorePath;
+        if (!config.ckptRestorePath.empty()) {
+            // Functional warming replaces the warmup prefix: the
+            // detailed window starts measured from its first committed
+            // instruction.
+            config.warmupInstructions = 0;
         }
+        config.tracePath = options.tracePath;
+        config.traceStartInst = options.traceStart;
+        config.traceMaxInsts = options.traceInsts;
+        config.watchdogCycles = options.watchdogCycles;
+        config.wedgeNeverResolve = options.wedge;
+        // Host-level knob (like --threads): never part of job identity
+        // or campaign manifests, so a --no-skip run byte-compares
+        // against a skipping one.
+        config.idleSkip = options.idleSkip;
     }
     return spec;
 }
@@ -778,52 +778,14 @@ runFuzzReplay(const Options &options)
     return exitCode;
 }
 
-/** The campaign manifest this invocation's sweep flags describe. */
-CampaignManifest
-manifestFromOptions(const Options &options)
+/** --campaign-init: pin the sweep into a manifest and exit. */
+int
+runCampaignInit(const Options &options)
 {
     if (!options.ckptSavePath.empty() || !options.ckptRestorePath.empty() ||
         !options.tracePath.empty() || options.wedge)
         usageError("campaigns do not capture --ckpt-save/--ckpt-restore/"
                    "--trace/--wedge; run those as single jobs");
-
-    CampaignManifest manifest;
-    std::string suite;
-    for (const std::string &name : options.workloadNames) {
-        if (!suite.empty())
-            suite += ',';
-        suite += name;
-    }
-    manifest.suite = suite;
-    manifest.tier = options.tier;
-    std::string schemes;
-    for (Scheme scheme : options.schemes) {
-        if (!schemes.empty())
-            schemes += ',';
-        schemes += schemeToken(scheme);
-    }
-    manifest.schemes = schemes;
-    manifest.ap = options.apModes.size() == 2
-                      ? "both"
-                      : (options.apModes[0] ? "on" : "off");
-    manifest.instructions = options.instructions;
-    manifest.ffwdInstructions = options.ffwdInstructions;
-    manifest.sampleInterval = options.sampleInterval;
-    manifest.sampleDetail = options.sampleDetail;
-    manifest.fuzzCount = options.fuzzCount;
-    manifest.fuzzSeed = options.fuzzSeed;
-    manifest.retries = options.retries;
-    manifest.retryBaseMs = options.retryBaseMs;
-    manifest.jobTimeoutSec = options.jobTimeoutSec;
-    manifest.injectFailRate = options.injectFailRate;
-    manifest.injectFailSeed = options.injectFailSeed;
-    return manifest;
-}
-
-/** --campaign-init: pin the sweep into a manifest and exit. */
-int
-runCampaignInit(const Options &options)
-{
     CampaignManifest manifest = manifestFromOptions(options);
     manifest.name = options.campaignInitPath;
     manifest.shards = options.shards;

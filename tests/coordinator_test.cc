@@ -163,6 +163,29 @@ TEST(Coordinator, RerunningACompleteCampaignResumesNotReruns)
     EXPECT_EQ(jsonlOf(second.outcomes), jsonlOf(first.outcomes));
 }
 
+TEST(Coordinator, MalformedClaimsAreSkipped)
+{
+    CampaignManifest manifest;
+    const std::string path = freshManifest("coord_bad_claim", manifest);
+    const std::string claims = claimsPath(path);
+
+    CoordinatorOptions options;
+    options.workers = 2;
+    options.progress = false;
+    // Each job also appends a claim whose shard is not a number. Claims
+    // are advisory: workers and the parent must skip it, not die on it.
+    options.execute = [claims](const Job &job) {
+        std::ofstream(claims, std::ios::app)
+            << "{\"key\":\"bogus\",\"shard\":\"x\",\"worker\":0}\n";
+        return identityMockResult(job);
+    };
+    const CampaignReport report = runCampaign(path, manifest, options);
+
+    EXPECT_EQ(report.ok, report.total);
+    EXPECT_EQ(report.workerDeaths, 0u);
+    EXPECT_EQ(jsonlOf(report.outcomes), jsonlOf(referenceRun(manifest)));
+}
+
 TEST(Coordinator, WorkerDeathMidJobIsRecoveredInRun)
 {
     CampaignManifest manifest;

@@ -21,6 +21,7 @@
 #include "fuzz/oracle.hh"
 #include "fuzz/synth.hh"
 #include "runner/journal.hh"
+#include "runner/json.hh"
 #include "runner/sweep.hh"
 #include "security/leak.hh"
 #include "sim/simulator.hh"
@@ -278,7 +279,8 @@ TEST(FuzzRunnerTest, PostPassEmitsReplayableArtifacts)
     std::filesystem::remove_all(dir);
     fuzz::PostOptions popts;
     popts.fuzzSeed = 1;
-    popts.reproDir = (dir / "repros").string();
+    // Quote and backslash in the path: the findings file must escape it.
+    popts.reproDir = (dir / "re\"pro\\s").string();
     popts.findingsPath = (dir / "findings.jsonl").string();
     popts.quiet = true;
     std::ostringstream log;
@@ -299,6 +301,21 @@ TEST(FuzzRunnerTest, PostPassEmitsReplayableArtifacts)
     EXPECT_TRUE(checkUnder(replayed, unsafeColumn(),
                            security::defaultSecretPairs(1))
                     .leaked());
+
+    // Every findings line is strict JSON naming its repro's real path.
+    std::ifstream findings(popts.findingsPath);
+    std::string line;
+    std::size_t lines = 0;
+    while (std::getline(findings, line)) {
+        ++lines;
+        const runner::JsonValue record = runner::JsonParser(line).parse();
+        const std::uint64_t hit =
+            std::stoull(runner::jsonMember(record, "key").number);
+        EXPECT_EQ(runner::jsonMember(record, "repro").str,
+                  popts.reproDir + "/" + fuzz::candidateName(hit) +
+                      ".dgasm");
+    }
+    EXPECT_GE(lines, 1u);
 
     // The post-pass is deterministic: running it again over the same
     // outcomes produces a byte-identical findings file.

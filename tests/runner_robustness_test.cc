@@ -385,6 +385,58 @@ TEST(RunnerJournal, LoadToleratesTruncatedFinalRecord)
     EXPECT_EQ(map.size(), spec.jobCount());
 }
 
+TEST(RunnerJournal, MalformedAttemptsIsCorruptionNotACrash)
+{
+    const SweepSpec spec = smallSpec(1'000);
+    const std::string journalPath = tempPath("bad_attempts.jsonl");
+    std::remove(journalPath.c_str());
+    RunnerOptions options = fastRetryOptions(1, 1);
+    options.journalPath = journalPath;
+    options.execute = mockResult;
+    ExperimentRunner(options).run(spec);
+
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(journalPath);
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), spec.jobCount());
+    const std::string good = "\"attempts\":1,";
+
+    for (const std::string bad : {"\"attempts\":\"1\",",
+                                  "\"attempts\":-1,"}) {
+        // Interior: the record is corrupt, not a crash or a wrapped
+        // 4294967295 that a merged journal would write back.
+        std::vector<std::string> edited = lines;
+        const std::size_t at = edited[1].find(good);
+        ASSERT_NE(at, std::string::npos) << edited[1];
+        edited[1].replace(at, good.size(), bad);
+        {
+            std::ofstream out(journalPath, std::ios::trunc);
+            for (const std::string &line : edited)
+                out << line << "\n";
+        }
+        EXPECT_EXIT(loadJournal(journalPath), testing::ExitedWithCode(1),
+                    "line 2 is corrupt");
+
+        // The same record as the final line is a torn record: dropped.
+        std::swap(edited[1], edited.back());
+        {
+            std::ofstream out(journalPath, std::ios::trunc);
+            for (const std::string &line : edited)
+                out << line << "\n";
+        }
+        testing::internal::CaptureStderr();
+        const JournalMap map = loadJournal(journalPath);
+        const std::string warning = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(map.size(), spec.jobCount() - 1);
+        EXPECT_NE(warning.find("dropping torn final record"),
+                  std::string::npos)
+            << warning;
+    }
+}
+
 TEST(RunnerJournal, TornJournalResumesTwiceAndMerges)
 {
     const SweepSpec spec = smallSpec(1'000);
