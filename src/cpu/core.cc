@@ -26,6 +26,12 @@ OooCore::OooCore(const Program &program, const SimConfig &config,
                                                   stats)),
       regfile_(config.numPhysRegs),
       data_mem_(program.initialData),
+      // Fetch-to-rename skid; fetchStage fetches only while below it.
+      fetch_queue_(static_cast<std::size_t>(config.fetchWidth) *
+                   (config.frontendDelay + 4)),
+      rob_(config.robEntries),
+      lq_(config.lqEntries),
+      sq_(config.sqEntries),
       consumers_(config.numPhysRegs),
       fetch_pc_(program.entry),
       committedInstrs_(stats.counter("core.committedInstrs")),
@@ -1261,9 +1267,7 @@ OooCore::fetchStage()
     if (fetch_halted_ || cycle_ < fetch_stall_until_)
         return;
     // Bound the frontend buffer (fetch-to-rename skid).
-    const std::size_t cap =
-        static_cast<std::size_t>(config_.fetchWidth) *
-        (config_.frontendDelay + 4);
+    const std::size_t cap = fetch_queue_.capacity();
     const std::size_t queued_before = fetch_queue_.size();
     for (unsigned i = 0;
          i < config_.fetchWidth && fetch_queue_.size() < cap; ++i) {

@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -35,6 +34,7 @@
 #include "core/doppelganger.hh"
 #include "cpu/dyn_inst.hh"
 #include "cpu/regfile.hh"
+#include "cpu/ring.hh"
 #include "cpu/shadow_tracker.hh"
 #include "isa/functional.hh"
 #include "isa/program.hh"
@@ -322,11 +322,13 @@ class OooCore
     // Optional lockstep oracle (config_.checkArchState).
     std::unique_ptr<FunctionalCore> oracle_;
 
-    // Pipeline state.
-    std::deque<FetchSlot> fetch_queue_;
-    std::deque<DynInstPtr> rob_;
-    std::deque<DynInstPtr> lq_;
-    std::deque<DynInstPtr> sq_;
+    // Pipeline state: fixed rings sized in the constructor from the
+    // bounds fetch and dispatch enforce, so the cycle loop never
+    // allocates for them.
+    Ring<FetchSlot> fetch_queue_;
+    Ring<DynInstPtr> rob_;
+    Ring<DynInstPtr> lq_;
+    Ring<DynInstPtr> sq_;
     /// Issue-queue occupancy (DynInst::inIq); select walks ready_.
     std::size_t iq_count_ = 0;
     /// Per-physical-register consumer lists: IQ entries waiting on the

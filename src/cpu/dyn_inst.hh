@@ -25,72 +25,40 @@ enum class DgState : std::uint8_t
     Mispredicted, ///< Addresses differed; preload discarded, load replays.
 };
 
-/** One in-flight instruction (ROB entry). */
+/**
+ * One in-flight instruction (ROB entry).
+ *
+ * Fields are grouped by size: 8-byte fields (and the 8-aligned
+ * Instruction) first, then the PhysRegs, then the byte-sized flags, so
+ * the struct carries no interior padding. Some 350 entries are in
+ * flight at once and every pipeline stage touches them, so the saved
+ * bytes keep the window in the host's L1. Keep that order when adding
+ * a field, and raise the size pinned below only by the field's bytes.
+ */
 struct DynInst
 {
+    // ===== 8-byte fields ==================================================
     // --- Identity ---------------------------------------------------
     SeqNum seq = kInvalidSeq;
     Addr pc = 0;
     Instruction inst;
-    OpClass cls = OpClass::No_OpClass;
-    // Operand roles, decoded once at dispatch (consumer-list
-    // registration, operand reads, taint checks) so the per-opcode
-    // switches stay off the per-instruction paths.
-    bool usesRs1 = false; ///< readsRs1(inst)
-    bool usesRs2 = false; ///< readsRs2(inst)
-    bool hasDest = false; ///< writesDest(inst)
-
-    // --- Rename ------------------------------------------------------
-    PhysReg prs1 = kInvalidPhysReg; ///< Physical source 1 (if read).
-    PhysReg prs2 = kInvalidPhysReg; ///< Physical source 2 (if read).
-    PhysReg prd = kInvalidPhysReg;  ///< Physical dest (if written).
-    PhysReg prevPrd = kInvalidPhysReg; ///< Previous mapping of rd.
 
     // --- Pipeline status ----------------------------------------------
-    bool inIq = false;      ///< Waiting in the issue queue.
-    /// Unready issue operands (consumer-list entries held); an IQ entry
-    /// is on the ready list exactly when this is zero.
-    std::uint8_t pendingOperands = 0;
-    bool issued = false;    ///< Sent to a functional unit.
-    bool executed = false;  ///< Result computed (cycle: execDoneAt).
-    bool completed = false; ///< Result propagated; eligible to commit.
-    bool squashed = false;
     Cycle execDoneAt = kInvalidCycle;
 
     // --- Control flow ---------------------------------------------------
-    bool predictedTaken = false;
     Addr predictedTarget = 0;
     std::uint64_t ghrSnapshot = 0; ///< GHR before this branch's prediction.
-    bool actualTaken = false;
     Addr actualTarget = 0;
-    bool mispredicted = false;
-    bool resolved = false; ///< Branch resolution performed (shadow freed).
 
     // --- Memory -----------------------------------------------------------
     Addr effAddr = kInvalidAddr; ///< AGU-resolved effective address.
-    bool addrReady = false;      ///< effAddr valid.
-    bool memIssued = false;      ///< Demand access accepted by hierarchy.
-    bool dataArrived = false;    ///< Load data available (value readable).
     Cycle dataAt = kInvalidCycle;
-    bool l1Hit = false;          ///< Load was serviced from the L1.
-    bool domDelayed = false;     ///< Rejected by DoM; retry when non-spec.
-    bool forwarded = false;      ///< Value forwarded from an older store.
     SeqNum fwdFromSeq = kInvalidSeq; ///< Store the value came from.
-    bool invalSnooped = false;   ///< LQ entry matched an invalidation.
-    /// DoM: replacement update was suppressed at access; touch at commit.
-    bool domDeferredTouch = false;
-    bool dgDeferredTouch = false; ///< Same, for the doppelganger access.
 
     // --- Doppelganger ---------------------------------------------------
-    DgState dgState = DgState::None;
     Addr dgPredictedAddr = kInvalidAddr;
-    /** The doppelganger access was sent to the hierarchy. Orthogonal to
-     * dgState: a verified-but-unissued prediction may still issue later
-     * (the predicted address remains secret-independent). */
-    bool dgAccessIssued = false;
-    bool dgDataArrived = false;
     Cycle dgDataAt = kInvalidCycle;
-    bool dgL1Hit = false;
 
     // --- Observability ----------------------------------------------------
     /**
@@ -105,13 +73,6 @@ struct DynInst
     /// Frontend stamps, recorded only for traced instructions.
     Cycle tsFetch = 0;
     Cycle tsDecode = 0;
-    /// This instruction was armed for pipeline tracing at dispatch.
-    bool traced = false;
-    /// A secure-speculation gate blocked this load's issue or
-    /// propagation at least once (trace annotation / flight recorder).
-    bool policyBlocked = false;
-    /// STT tainted this load's result when it propagated.
-    bool resultTainted = false;
 
     // --- Gate retry memo ---------------------------------------------------
     /**
@@ -126,6 +87,69 @@ struct DynInst
      */
     std::uint64_t issueSleepEpoch = 0;
     std::uint64_t propSleepEpoch = 0;
+
+    // ===== PhysReg fields =================================================
+    // --- Rename ------------------------------------------------------
+    PhysReg prs1 = kInvalidPhysReg; ///< Physical source 1 (if read).
+    PhysReg prs2 = kInvalidPhysReg; ///< Physical source 2 (if read).
+    PhysReg prd = kInvalidPhysReg;  ///< Physical dest (if written).
+    PhysReg prevPrd = kInvalidPhysReg; ///< Previous mapping of rd.
+
+    // ===== Byte-sized fields ==============================================
+    // --- Identity ---------------------------------------------------
+    OpClass cls = OpClass::No_OpClass;
+    // Operand roles, decoded once at dispatch (consumer-list
+    // registration, operand reads, taint checks) so the per-opcode
+    // switches stay off the per-instruction paths.
+    bool usesRs1 = false; ///< readsRs1(inst)
+    bool usesRs2 = false; ///< readsRs2(inst)
+    bool hasDest = false; ///< writesDest(inst)
+
+    // --- Pipeline status ----------------------------------------------
+    bool inIq = false;      ///< Waiting in the issue queue.
+    /// Unready issue operands (consumer-list entries held); an IQ entry
+    /// is on the ready list exactly when this is zero.
+    std::uint8_t pendingOperands = 0;
+    bool issued = false;    ///< Sent to a functional unit.
+    bool executed = false;  ///< Result computed (cycle: execDoneAt).
+    bool completed = false; ///< Result propagated; eligible to commit.
+    bool squashed = false;
+
+    // --- Control flow ---------------------------------------------------
+    bool predictedTaken = false;
+    bool actualTaken = false;
+    bool mispredicted = false;
+    bool resolved = false; ///< Branch resolution performed (shadow freed).
+
+    // --- Memory -----------------------------------------------------------
+    bool addrReady = false;      ///< effAddr valid.
+    bool memIssued = false;      ///< Demand access accepted by hierarchy.
+    bool dataArrived = false;    ///< Load data available (value readable).
+    bool l1Hit = false;          ///< Load was serviced from the L1.
+    bool domDelayed = false;     ///< Rejected by DoM; retry when non-spec.
+    bool forwarded = false;      ///< Value forwarded from an older store.
+    bool invalSnooped = false;   ///< LQ entry matched an invalidation.
+    /// DoM: replacement update was suppressed at access; touch at commit.
+    bool domDeferredTouch = false;
+    bool dgDeferredTouch = false; ///< Same, for the doppelganger access.
+
+    // --- Doppelganger ---------------------------------------------------
+    DgState dgState = DgState::None;
+    /** The doppelganger access was sent to the hierarchy. Orthogonal to
+     * dgState: a verified-but-unissued prediction may still issue later
+     * (the predicted address remains secret-independent). */
+    bool dgAccessIssued = false;
+    bool dgDataArrived = false;
+    bool dgL1Hit = false;
+
+    // --- Observability ----------------------------------------------------
+    /// This instruction was armed for pipeline tracing at dispatch.
+    bool traced = false;
+    /// A secure-speculation gate blocked this load's issue or
+    /// propagation at least once (trace annotation / flight recorder).
+    bool policyBlocked = false;
+    /// STT tainted this load's result when it propagated.
+    bool resultTainted = false;
 
     // --- Pool bookkeeping -------------------------------------------------
     /**
@@ -155,6 +179,9 @@ struct DynInst
         return dgState == DgState::Verified && dgAccessIssued;
     }
 };
+
+static_assert(sizeof(DynInst) == 200,
+              "DynInst size changed: keep fields grouped by size");
 
 /**
  * Pool handle. In-flight instructions live in DynInstPool slabs; the

@@ -218,7 +218,7 @@ loadManifest(const std::string &path)
             throw CampaignError("manifest '" + path +
                                 "': unsupported version");
         manifest.name = jsonMember(header, "name").str;
-        manifest.shards = static_cast<unsigned>(memberU64(header, "shards"));
+        manifest.shards = memberUnsigned(header, "shards");
         expectedJobs = memberU64(header, "jobs");
         manifest.suite = jsonMember(header, "suite").str;
         manifest.tier = jsonMember(header, "tier").str;
@@ -230,8 +230,7 @@ loadManifest(const std::string &path)
         manifest.sampleDetail = memberU64(header, "sampleDetail");
         manifest.fuzzCount = memberU64(header, "fuzzCount");
         manifest.fuzzSeed = memberU64(header, "fuzzSeed");
-        manifest.retries =
-            static_cast<unsigned>(memberU64(header, "retries"));
+        manifest.retries = memberUnsigned(header, "retries");
         manifest.retryBaseMs = memberU64(header, "retryBaseMs");
         manifest.jobTimeoutSec = memberU64(header, "jobTimeoutSec");
         manifest.injectFailRate = memberDouble(header, "injectFailRate");

@@ -48,9 +48,8 @@ loadClaims(const std::string &path)
         [&claims](const JsonValue &record) {
             Claim claim;
             claim.key = jsonMember(record, "key").str;
-            claim.shard = static_cast<unsigned>(memberU64(record, "shard"));
-            claim.worker =
-                static_cast<unsigned>(memberU64(record, "worker"));
+            claim.shard = memberUnsigned(record, "shard");
+            claim.worker = memberUnsigned(record, "worker");
             claims.push_back(std::move(claim));
         },
         /*skipMalformed=*/true);

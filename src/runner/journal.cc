@@ -87,8 +87,7 @@ loadJournal(const std::string &path)
     loadAppendLog(path, [&map](const JsonValue &record) {
         const std::string key = jsonMember(record, "key").str;
         JobOutcome outcome = outcomeFromJson(record);
-        outcome.attempts =
-            static_cast<unsigned>(memberU64(record, "attempts"));
+        outcome.attempts = memberUnsigned(record, "attempts");
         map[key] = std::move(outcome); // Last record wins.
     });
     return map;

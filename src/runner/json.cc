@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace dgsim::runner
 {
@@ -343,6 +344,16 @@ std::uint64_t
 memberU64(const JsonValue &object, const char *name)
 {
     return asU64(jsonMember(object, name), name);
+}
+
+unsigned
+memberUnsigned(const JsonValue &object, const char *name)
+{
+    const std::uint64_t value = memberU64(object, name);
+    if (value > std::numeric_limits<unsigned>::max())
+        throw JsonParseError(std::string("bad integer for ") + name +
+                             ": '" + std::to_string(value) + "'");
+    return static_cast<unsigned>(value);
 }
 
 double

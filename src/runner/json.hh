@@ -136,6 +136,11 @@ double parseDouble(const std::string &text, const std::string &name);
  * JsonParseError when @p name is absent or malformed. */
 std::uint64_t memberU64(const JsonValue &object, const char *name);
 
+/** memberU64() narrowed to unsigned (counts, shard and worker ids).
+ * A value above UINT_MAX throws JsonParseError("bad integer for NAME")
+ * instead of wrapping. */
+unsigned memberUnsigned(const JsonValue &object, const char *name);
+
 /** A double member: a JSON number, or a quoted non-finite token. */
 double memberDouble(const JsonValue &object, const char *name);
 

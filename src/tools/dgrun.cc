@@ -78,8 +78,9 @@ fault tolerance:
   --progress SECS     heartbeat: every SECS seconds print one line with
                       jobs done/total, jobs/sec and ETA (single atomic
                       fwrite, so lines never interleave)
-  --no-host-metrics   omit the per-run "host" object from --jsonl output
-                      (use when byte-comparing results across runs)
+  --no-host-metrics   omit the per-run "host" object from --jsonl and
+                      --journal records (use when byte-comparing results
+                      across runs)
 
 sharded campaigns (fleet-scale sweeps):
   --shard I/N         run only shard I of N (0-based). Membership is a
@@ -620,6 +621,7 @@ runnerOptions(const Options &options, unsigned threads)
     ropts.journalPath = !options.resumePath.empty() ? options.resumePath
                                                     : options.journalPath;
     ropts.journalSync = options.journalSync;
+    ropts.journalHostMetrics = options.hostMetrics;
     if (!options.resumePath.empty())
         ropts.resume = loadJournal(options.resumePath);
     ropts.cancel = &drainFlag();

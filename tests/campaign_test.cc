@@ -11,9 +11,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runner/campaign.hh"
@@ -225,6 +227,32 @@ TEST(Manifest, LoadRejectsCorruptInput)
             << jobLine.substr(0, colon + 1) << (shard + 1) % 3 << "}\n";
     }
     EXPECT_THROW(loadManifest(path), CampaignError);
+
+    // A shard or retry count past UINT_MAX is a bad integer, not a
+    // silent wrap: 2^32 + 3 shards would otherwise load as 3.
+    for (const auto &[good, wide] :
+         {std::pair<std::string, std::string>{"\"shards\":3,",
+                                              "\"shards\":4294967299,"},
+          {"\"retries\":2,", "\"retries\":4294967298,"}}) {
+        writeManifest(path, manifest);
+        std::string text;
+        {
+            std::ifstream in(path);
+            text.assign(std::istreambuf_iterator<char>(in), {});
+        }
+        const std::size_t at = text.find(good);
+        ASSERT_NE(at, std::string::npos) << text;
+        text.replace(at, good.size(), wide);
+        { std::ofstream(path, std::ios::trunc) << text; }
+        try {
+            loadManifest(path);
+            ADD_FAILURE() << wide << " loaded";
+        } catch (const CampaignError &e) {
+            EXPECT_NE(std::string(e.what()).find("bad integer for"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Merge, ThreeShardJournalsMatchSingleProcessByteForByte)

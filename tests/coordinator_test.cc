@@ -186,6 +186,35 @@ TEST(Coordinator, MalformedClaimsAreSkipped)
     EXPECT_EQ(jsonlOf(report.outcomes), jsonlOf(referenceRun(manifest)));
 }
 
+TEST(Coordinator, OutOfRangeClaimsAreSkipped)
+{
+    CampaignManifest manifest;
+    const std::string path = freshManifest("coord_wide_claim", manifest);
+    const std::string claims = claimsPath(path);
+
+    // One worker, so no thief can race it and every real job is
+    // claimed exactly once. Each job also appends a claim whose shard,
+    // and one whose worker, is 2^32 + 1: narrowed to 1, the first would
+    // be a duplicate and the second a steal from shard 0.
+    CoordinatorOptions options;
+    options.workers = 1;
+    options.progress = false;
+    options.execute = [claims](const Job &job) {
+        std::ofstream(claims, std::ios::app)
+            << "{\"key\":\"wide_shard\",\"shard\":4294967297,"
+               "\"worker\":0}\n"
+            << "{\"key\":\"wide_worker\",\"shard\":0,"
+               "\"worker\":4294967297}\n";
+        return identityMockResult(job);
+    };
+    const CampaignReport report = runCampaign(path, manifest, options);
+
+    EXPECT_EQ(report.ok, report.total);
+    EXPECT_EQ(report.duplicates, 0u);
+    EXPECT_EQ(report.stolen, 0u);
+    EXPECT_EQ(jsonlOf(report.outcomes), jsonlOf(referenceRun(manifest)));
+}
+
 TEST(Coordinator, WorkerDeathMidJobIsRecoveredInRun)
 {
     CampaignManifest manifest;

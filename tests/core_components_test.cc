@@ -1,12 +1,17 @@
 /**
  * @file
- * Unit tests for the core's bookkeeping components: physical register
- * file with RAT/free list, shadow tracker, and STT taint tracker.
+ * Unit tests for the core's bookkeeping components: the pipeline
+ * queues' ring buffer, physical register file with RAT/free list,
+ * shadow tracker, and STT taint tracker.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cpu/regfile.hh"
+#include "cpu/ring.hh"
 #include "cpu/shadow_tracker.hh"
 #include "secure/taint_tracker.hh"
 
@@ -14,6 +19,101 @@ namespace dgsim
 {
 namespace
 {
+
+// --- Ring ----------------------------------------------------------------
+
+/** Contents of @p ring oldest first, via its forward iterators. */
+std::vector<int>
+contents(const Ring<int> &ring)
+{
+    return {ring.begin(), ring.end()};
+}
+
+/** A ring of capacity 5 (8 slots) whose live range straddles the wrap
+ * point: holds 10..14 in slots 6, 7, 0, 1, 2. */
+Ring<int>
+wrappedRing()
+{
+    Ring<int> ring(5);
+    for (int i = 0; i < 6; ++i) {
+        ring.push_back(i);
+        ring.pop_front();
+    }
+    for (int i = 10; i < 15; ++i)
+        ring.push_back(i);
+    return ring;
+}
+
+TEST(RingTest, PushPopAcrossTheWrapPoint)
+{
+    Ring<int> ring(5);
+    EXPECT_EQ(ring.capacity(), 5u);
+    EXPECT_TRUE(ring.empty());
+    // Cycle 40 values through: the head wraps the 8 slots five times.
+    int next_out = 0;
+    for (int i = 0; i < 40; ++i) {
+        ring.push_back(i);
+        if (ring.size() == 5) {
+            EXPECT_EQ(ring.front(), next_out);
+            EXPECT_EQ(ring.back(), i);
+            ring.pop_front();
+            ++next_out;
+        }
+    }
+    EXPECT_EQ(contents(ring), (std::vector<int>{36, 37, 38, 39}));
+}
+
+TEST(RingTest, PopBackAfterWrap)
+{
+    Ring<int> ring = wrappedRing();
+    EXPECT_EQ(contents(ring), (std::vector<int>{10, 11, 12, 13, 14}));
+    // Squash-style suffix pops walk back over the wrap point.
+    while (!ring.empty() && ring.back() >= 11)
+        ring.pop_back();
+    EXPECT_EQ(contents(ring), (std::vector<int>{10}));
+    ring.push_back(20);
+    ring.push_back(21);
+    EXPECT_EQ(contents(ring), (std::vector<int>{10, 20, 21}));
+}
+
+TEST(RingTest, LowerBoundAndReverseScanOverWrappedRange)
+{
+    const Ring<int> ring = wrappedRing();
+    for (int key = 9; key <= 15; ++key) {
+        const auto it = std::lower_bound(ring.begin(), ring.end(), key);
+        EXPECT_EQ(it - ring.begin(), std::max(0, std::min(key, 15) - 10))
+            << key;
+        if (it != ring.end()) {
+            EXPECT_EQ(*it, std::max(key, 10));
+        }
+    }
+    EXPECT_EQ(std::vector<int>(ring.rbegin(), ring.rend()),
+              (std::vector<int>{14, 13, 12, 11, 10}));
+    // The youngest-first search loadValueNow and tryDemandIssue run.
+    const auto older = std::find_if(ring.rbegin(), ring.rend(),
+                                    [](int v) { return v < 13; });
+    ASSERT_NE(older, ring.rend());
+    EXPECT_EQ(*older, 12);
+}
+
+TEST(RingTest, ClearEmptiesAndRefills)
+{
+    Ring<int> ring = wrappedRing();
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.begin(), ring.end());
+    for (int i = 0; i < 5; ++i)
+        ring.push_back(i);
+    EXPECT_EQ(contents(ring), (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(RingTest, OverflowPanics)
+{
+    Ring<int> ring(2);
+    ring.push_back(1);
+    ring.push_back(2);
+    EXPECT_DEATH(ring.push_back(3), "ring overflow");
+}
 
 // --- RegFile -------------------------------------------------------------
 

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -29,6 +30,7 @@
 #include "runner/campaign.hh"
 #include "runner/experiment_runner.hh"
 #include "runner/journal.hh"
+#include "runner/json.hh"
 #include "runner/result_sink.hh"
 #include "runner/sweep.hh"
 #include "workloads/suite.hh"
@@ -405,9 +407,11 @@ TEST(RunnerJournal, MalformedAttemptsIsCorruptionNotACrash)
     const std::string good = "\"attempts\":1,";
 
     for (const std::string bad : {"\"attempts\":\"1\",",
-                                  "\"attempts\":-1,"}) {
+                                  "\"attempts\":-1,",
+                                  "\"attempts\":4294967296,"}) {
         // Interior: the record is corrupt, not a crash or a wrapped
-        // 4294967295 that a merged journal would write back.
+        // 4294967295 (or a 2^32 narrowed to 0) that a merged journal
+        // would write back.
         std::vector<std::string> edited = lines;
         const std::size_t at = edited[1].find(good);
         ASSERT_NE(at, std::string::npos) << edited[1];
@@ -418,7 +422,7 @@ TEST(RunnerJournal, MalformedAttemptsIsCorruptionNotACrash)
                 out << line << "\n";
         }
         EXPECT_EXIT(loadJournal(journalPath), testing::ExitedWithCode(1),
-                    "line 2 is corrupt");
+                    "line 2 is corrupt: bad integer for attempts");
 
         // The same record as the final line is a torn record: dropped.
         std::swap(edited[1], edited.back());
@@ -572,6 +576,31 @@ TEST(RunnerJournal, SyncedJournalRoundTrips)
         const auto it = map.find(jobKey(spec.expand()[outcome.index]));
         ASSERT_NE(it, map.end());
         EXPECT_EQ(it->second.result.cycles, outcome.result.cycles);
+    }
+}
+
+TEST(RunnerJournal, DgrunNoHostMetricsReachesSweepJournal)
+{
+    // The CLI end to end: --no-host-metrics must strip the "host"
+    // object from the sweep journal, not only from --jsonl.
+    const std::string journalPath = tempPath("dgrun_host_metrics.jsonl");
+    for (const bool hostMetrics : {true, false}) {
+        std::remove(journalPath.c_str());
+        const std::string command =
+            std::string(DGSIM_DGRUN) +
+            " --suite gobmk --schemes unsafe --ap both --instructions 1000"
+            " --threads 1 --quiet --journal " + journalPath +
+            (hostMetrics ? "" : " --no-host-metrics") + " > /dev/null";
+        ASSERT_EQ(std::system(command.c_str()), 0) << command;
+
+        std::ifstream in(journalPath);
+        std::size_t records = 0;
+        for (std::string line; std::getline(in, line); ++records) {
+            const JsonValue record = JsonParser(line).parse();
+            EXPECT_EQ(record.object.count("host"), hostMetrics ? 1u : 0u)
+                << line;
+        }
+        EXPECT_EQ(records, 2u);
     }
 }
 

@@ -16,10 +16,18 @@
  *
  * Afterwards the final architectural state must still match the
  * functional oracle — recycled slots must never alias live state.
+ *
+ * A second test counts global operator new calls: a run ten times as
+ * long may allocate only a bounded number more (containers reaching
+ * their high-water marks), never a number that grows with the
+ * instruction count.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -30,6 +38,31 @@
 #include "isa/assembler.hh"
 #include "isa/functional.hh"
 #include "sim/simulator.hh"
+
+namespace
+{
+/// Global operator new calls so far (replaced below for this binary).
+std::atomic<std::size_t> g_allocations{0};
+} // namespace
+
+// Out of line, like the deletes below: inlined into a caller, GCC's
+// -Wmismatched-new-delete pairs a malloc() here with operator delete,
+// or a free() there with operator new.
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace dgsim
 {
@@ -47,7 +80,7 @@ constexpr std::uint64_t kIterations = 1500;
  * flushes a deep wrong-path window.
  */
 Program
-stormProgram(std::uint64_t seed)
+stormProgram(std::uint64_t seed, std::uint64_t iterations = kIterations)
 {
     Rng rng(seed);
     Assembler assembler("squash-storm");
@@ -61,7 +94,7 @@ stormProgram(std::uint64_t seed)
         .li(2, rng.next() | 1)
         .li(3, 0)
         .li(20, 0)
-        .li(21, kIterations);
+        .li(21, iterations);
 
     assembler.label("loop");
 
@@ -167,6 +200,44 @@ TEST(SquashStormTest, PoolBoundedAndStateMatchesOracle)
             ASSERT_EQ(core.dataMemory().read(addr), value)
                 << label << ", mem[" << addr << "]";
         }
+    }
+}
+
+/** operator new calls made building @p config's core for @p program
+ * and running it to @p instructions committed instructions. */
+std::size_t
+allocationsFor(const Program &program, SimConfig config,
+               std::uint64_t instructions)
+{
+    config.maxInstructions = instructions;
+    const std::size_t before = g_allocations.load();
+    StatRegistry stats;
+    OooCore core(program, config, stats);
+    EXPECT_EQ(core.run(), instructions) << config.label();
+    return g_allocations.load() - before;
+}
+
+TEST(SquashStormTest, SteadyStateCycleLoopDoesNotAllocate)
+{
+    // The storm's 8 KiB data set is all in memory from the start, and
+    // its squashes exercise every queue's pop_back path. Long enough
+    // (~560k instructions) that neither budget reaches HALT.
+    const Program program = stormProgram(0xdead5eed, 20'000);
+    // Past warm-up: the per-register consumer lists and the other
+    // window-sized vectors are near their high-water marks by now.
+    constexpr std::uint64_t kShort = 20'000;
+    // Those vectors may still double a few more times in the longer
+    // run; a per-instruction or per-queue-wrap allocation (a deque
+    // node every 64 entries) adds tens of thousands.
+    constexpr std::size_t kSlack = 64;
+    for (const SimConfig &config : evaluationConfigs(SimConfig{})) {
+        const std::size_t shortRun = allocationsFor(program, config, kShort);
+        const std::size_t longRun =
+            allocationsFor(program, config, 10 * kShort);
+        EXPECT_LE(longRun, shortRun + kSlack)
+            << config.label() << ": " << shortRun << " allocations at "
+            << kShort << " instructions, " << longRun << " at "
+            << 10 * kShort;
     }
 }
 
